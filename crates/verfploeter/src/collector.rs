@@ -4,14 +4,13 @@
 //! captures must happen concurrently at all anycast sites" and "we copy
 //! all responses to a central site for analysis ... with a custom program
 //! that forwards traffic after tagging it with its site." This module is
-//! that custom program: one forwarding worker per site on the blessed
-//! [`ShardExecutor`] (one result channel per site, received in site-id
-//! order), and a deterministic (time, site, source) merge order.
+//! that custom program: each site's log is parsed in site-id order into
+//! one stream with a deterministic (time, site, source) merge order.
 
 use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimTime};
 use vp_packet::IcmpMessage;
-use vp_sim::{ShardExecutor, SiteCapture};
+use vp_sim::SiteCapture;
 
 /// A reply as it arrives at the central analysis point: parsed, tagged with
 /// the capturing site.
@@ -45,37 +44,18 @@ pub fn parse_capture(cap: &SiteCapture) -> Option<RawReply> {
     }
 }
 
-/// Forwards per-site captures to a central aggregator, one worker per
-/// site on the blessed executor — the concurrent collection pipeline of
-/// §3.1. The merged stream is returned sorted by `(time, site, src)` so
-/// downstream processing is deterministic regardless of thread scheduling.
+/// Forwards per-site captures to the central aggregator: each site's
+/// log is parsed in site-id order and the merged stream is returned
+/// sorted by `(time, site, src)`, so downstream processing sees one
+/// deterministic arrival timeline.
 pub fn forward_to_central(captures_by_site: Vec<Vec<SiteCapture>>) -> Vec<RawReply> {
-    let sites = captures_by_site.len();
-    forward_to_central_on(&ShardExecutor::host_parallel(sites), captures_by_site)
-}
-
-/// [`forward_to_central`] with an explicit executor. The sharded scan
-/// path passes [`ShardExecutor::serial`] because it calls this from
-/// inside a shard worker thread, where nesting another pool would
-/// oversubscribe the host.
-pub fn forward_to_central_on(
-    exec: &ShardExecutor,
-    captures_by_site: Vec<Vec<SiteCapture>>,
-) -> Vec<RawReply> {
-    let per_site: Vec<Vec<RawReply>> = exec.run_sharded(captures_by_site.len(), |site| {
-        let caps = &captures_by_site[site]; // vp-lint: allow(g1): the executor only calls site < the number of site logs.
-        // One pre-sized allocation per site worker (replies never outnumber
-        // captures); parsing filters without regrowth.
-        let mut replies = Vec::with_capacity(caps.len());
-        replies.extend(caps.iter().filter_map(parse_capture));
-        replies
-    });
-    // Site vectors come back in site-id order; the final sort makes the
-    // arrival timeline explicit and is total on (at, site, src).
-    let mut all: Vec<RawReply> = Vec::with_capacity(per_site.iter().map(Vec::len).sum());
-    for site_replies in per_site {
-        all.extend(site_replies);
+    // One pre-sized allocation (replies never outnumber captures);
+    // parsing filters without regrowth.
+    let mut all: Vec<RawReply> = Vec::with_capacity(captures_by_site.iter().map(Vec::len).sum());
+    for caps in &captures_by_site {
+        all.extend(caps.iter().filter_map(parse_capture));
     }
+    // The sort is total on (at, site, src).
     all.sort_by_key(|r| (r.at, r.site, r.src));
     all
 }
@@ -169,7 +149,7 @@ mod tests {
         ];
         let merged = forward_to_central(caps.clone());
         assert_eq!(merged.len(), 3);
-        // Sorted by time regardless of site thread interleaving.
+        // Sorted by time across sites.
         assert_eq!(merged[0].at, SimTime(10));
         assert_eq!(merged[1].at, SimTime(20));
         assert_eq!(merged[2].at, SimTime(30));

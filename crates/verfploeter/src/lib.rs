@@ -61,6 +61,6 @@ pub mod stability;
 pub use catchment::CatchmentMap;
 pub use rtt::RttTable;
 pub use cleaning::{clean, CleaningStats};
-pub use collector::{forward_to_central, forward_to_central_on, RawReply};
+pub use collector::{forward_to_central, RawReply};
 pub use prober::{ProbeConfig, Prober};
 pub use scan::{run_scan, run_scan_sharded, run_scan_sharded_on, ScanConfig, ScanObs, ScanResult};

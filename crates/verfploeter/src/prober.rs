@@ -14,14 +14,14 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use vp_hitlist::Hitlist;
 use vp_net::{FeistelPermutation, Ipv4Addr, ProbeOrder, SimTime, TokenBucket};
-use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
+use vp_packet::{Ipv4Packet, Protocol};
 
 /// Magic prefix identifying Verfploeter probe payloads.
 pub const PAYLOAD_MAGIC: &[u8; 4] = b"VPLT";
 
-/// Probes encoded per [`Prober::build_probes`] batch: large enough to
-/// amortize the batch's one wire-buffer allocation to noise, small enough
-/// that a batch of 20-byte messages stays comfortably in L1.
+/// Probes encoded per [`Prober::build_probes_with_replies`] batch: large
+/// enough to amortize the batch's wire-buffer allocations to noise, small
+/// enough that a batch of 20-byte messages stays comfortably in L1.
 pub const PROBE_BATCH: usize = 1024;
 
 /// Probing parameters for one measurement round.
@@ -43,15 +43,6 @@ impl Default for ProbeConfig {
             order_seed: 0x0bde,
         }
     }
-}
-
-/// A scheduled probe: when to send what.
-#[derive(Debug, Clone)]
-pub struct ScheduledProbe {
-    pub at: SimTime,
-    pub packet: Ipv4Packet,
-    /// Index into the hitlist this probe targets.
-    pub index: u64,
 }
 
 /// The prober: turns a hitlist into a paced, permuted probe schedule.
@@ -103,70 +94,24 @@ impl Prober {
         }
     }
 
-    /// Materializes the probe packet for one hitlist index: an ICMP Echo
-    /// Request from `source` carrying the round ident and the index-tagged
-    /// payload.
-    pub fn build_probe(&self, hitlist: &Hitlist, index: u64, source: Ipv4Addr) -> Ipv4Packet {
-        let entry = hitlist.entry(vp_net::conv::sat_usize(index));
-        let icmp = IcmpMessage::echo_request(
-            self.config.ident,
-            vp_net::conv::sat_u16(index & 0xffff),
-            Self::encode_payload(index),
-        );
-        let mut packet = Ipv4Packet::new(source, entry.target, Protocol::Icmp, icmp.emit());
-        packet.ident = self.config.ident;
-        packet
-    }
-
-    /// Materializes the probes for a slice of hitlist indices into `out` —
-    /// wire-identical to calling [`Prober::build_probe`] per index (the
-    /// equivalence suite pins this), but with the hot-loop cost profile:
-    /// the whole batch's ICMP images live in **one shared buffer**
-    /// ([`vp_packet::icmp::encode_batch`]), each packet payload a
-    /// zero-copy view of it, and per-probe checksums derived
+    /// Materializes the probes for a slice of hitlist indices into `out`,
+    /// each an ICMP Echo Request from `source` carrying the round ident
+    /// and the index-tagged payload, plus each probe's precomputed **echo
+    /// reply** wire image in `reply_images`.
+    ///
+    /// Both sides of the exchange come from
+    /// [`vp_packet::icmp::encode_batch_with_replies`]: the batch's
+    /// request and reply images live in two shared buffers, each packet
+    /// payload a zero-copy view, with per-probe checksums derived
     /// incrementally instead of re-summed. Steady-state heap allocations
-    /// per probe: zero (the batch buffer and `out`'s reservation amortize
-    /// across the batch; the allocation-witness test counts this).
-    // vp-lint: allow(g1): `i < indices.len()` by encode_batch's contract, and payloads are exactly the 12 declared bytes.
-    pub fn build_probes(
-        &self,
-        hitlist: &Hitlist,
-        indices: &[u64],
-        source: Ipv4Addr,
-        out: &mut Vec<Ipv4Packet>,
-    ) {
-        out.clear();
-        out.reserve(indices.len());
-        vp_packet::icmp::encode_batch(
-            self.config.ident,
-            12,
-            indices.len(),
-            |i, seq, payload| {
-                let index = indices[i];
-                *seq = vp_net::conv::sat_u16(index & 0xffff);
-                payload[..4].copy_from_slice(PAYLOAD_MAGIC);
-                payload[4..].copy_from_slice(&index.to_be_bytes());
-            },
-            |i, wire| {
-                let index = indices[i];
-                let entry = hitlist.entry(vp_net::conv::sat_usize(index));
-                let mut packet = Ipv4Packet::new(source, entry.target, Protocol::Icmp, wire);
-                packet.ident = self.config.ident;
-                out.push(packet);
-            },
-        );
-    }
-
-    /// [`Prober::build_probes`] plus each probe's precomputed **echo
-    /// reply** wire image (via
-    /// [`vp_packet::icmp::encode_batch_with_replies`]): `out[i]`'s reply
-    /// image lands in `reply_images[i]`, byte-identical to what the
-    /// simulated responder's parse → reply → emit chain would serialize.
-    /// Handing the image to the engine with the probe lets responders
-    /// answer without allocating per reply — the last per-probe
-    /// allocation the witness test retired. Payloads carry the nonzero
-    /// `VPLT` magic, satisfying the reply encoder's checksum
-    /// precondition.
+    /// per probe: zero (the allocation-witness test counts this). The
+    /// packets are wire-identical to a one-at-a-time reference encoder,
+    /// and `reply_images[i]` is byte-identical to what the simulated
+    /// responder's parse → reply → emit chain would serialize from
+    /// `out[i]` (the unit tests pin both). Handing the image to the
+    /// engine with the probe lets responders answer without allocating
+    /// per reply. Payloads carry the nonzero `VPLT` magic, satisfying the
+    /// reply encoder's checksum precondition.
     // vp-lint: allow(g1): `i < indices.len()` by encode_batch_with_replies's contract, and payloads are exactly the 12 declared bytes.
     pub fn build_probes_with_replies(
         &self,
@@ -201,24 +146,6 @@ impl Prober {
         );
     }
 
-    /// Builds the full probe schedule as a vector: every hitlist entry
-    /// exactly once, in Feistel-permuted order, paced from `start` by a
-    /// token bucket at the configured rate. `source` must be the
-    /// measurement address inside the anycast prefix. Convenience wrapper
-    /// over [`Prober::walk_schedule`] + [`Prober::build_probe`] — at
-    /// million-target scale prefer the streaming pair.
-    pub fn schedule(&self, hitlist: &Hitlist, source: Ipv4Addr, start: SimTime) -> Vec<ScheduledProbe> {
-        let mut out = Vec::with_capacity(hitlist.len());
-        self.walk_schedule(hitlist.len() as u64, start, |index, at| {
-            out.push(ScheduledProbe {
-                at,
-                packet: self.build_probe(hitlist, index, source),
-                index,
-            });
-        });
-        out
-    }
-
     /// Expected duration of a full round at the configured rate.
     pub fn expected_duration(&self, targets: usize) -> vp_net::SimDuration {
         vp_net::SimDuration::from_secs_f64(targets as f64 / self.config.rate_per_sec)
@@ -229,6 +156,7 @@ impl Prober {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use vp_packet::IcmpMessage;
     use vp_hitlist::HitlistConfig;
     use vp_topology::{Internet, TopologyConfig};
 
@@ -236,6 +164,36 @@ mod tests {
         let w = Internet::generate(TopologyConfig::tiny(61));
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
         (w, hl)
+    }
+
+    impl Prober {
+        /// The independent one-probe reference encoder the batched
+        /// builder is pinned against: an ICMP Echo Request from `source`
+        /// carrying the round ident and the index-tagged payload, encoded
+        /// through the owned `IcmpMessage::emit` path.
+        fn build_probe(&self, hitlist: &Hitlist, index: u64, source: Ipv4Addr) -> Ipv4Packet {
+            let entry = hitlist.entry(vp_net::conv::sat_usize(index));
+            let icmp = IcmpMessage::echo_request(
+                self.config.ident,
+                vp_net::conv::sat_u16(index & 0xffff),
+                Self::encode_payload(index),
+            );
+            let mut packet = Ipv4Packet::new(source, entry.target, Protocol::Icmp, icmp.emit());
+            packet.ident = self.config.ident;
+            packet
+        }
+    }
+
+    /// The whole round in walk order — `(send time, hitlist index,
+    /// reference packet)` per probe — from `walk_schedule` plus the
+    /// reference encoder.
+    fn schedule(prober: &Prober, hl: &Hitlist) -> Vec<(SimTime, u64, Ipv4Packet)> {
+        let source = Ipv4Addr::new(240, 0, 0, 1);
+        let mut out = Vec::with_capacity(hl.len());
+        prober.walk_schedule(hl.len() as u64, SimTime::ZERO, |index, at| {
+            out.push((at, index, prober.build_probe(hl, index, source)));
+        });
+        out
     }
 
     #[test]
@@ -253,13 +211,13 @@ mod tests {
     fn schedule_covers_every_target_once() {
         let (_, hl) = hitlist();
         let prober = Prober::new(ProbeConfig::default());
-        let probes = prober.schedule(&hl, Ipv4Addr::new(240, 0, 0, 1), SimTime::ZERO);
+        let probes = schedule(&prober, &hl);
         assert_eq!(probes.len(), hl.len());
-        let indexes: HashSet<u64> = probes.iter().map(|p| p.index).collect();
+        let indexes: HashSet<u64> = probes.iter().map(|&(_, index, _)| index).collect();
         assert_eq!(indexes.len(), hl.len());
-        for p in &probes {
-            let entry = hl.entry(p.index as usize);
-            assert_eq!(p.packet.dst, entry.target);
+        for (_, index, packet) in &probes {
+            let entry = hl.entry(*index as usize);
+            assert_eq!(packet.dst, entry.target);
         }
     }
 
@@ -271,8 +229,8 @@ mod tests {
             ..ProbeConfig::default()
         };
         let prober = Prober::new(cfg);
-        let probes = prober.schedule(&hl, Ipv4Addr::new(240, 0, 0, 1), SimTime::ZERO);
-        let last = probes.last().unwrap().at;
+        let probes = schedule(&prober, &hl);
+        let last = probes.last().unwrap().0;
         let expected_secs = hl.len() as f64 / 1000.0;
         let actual = last.as_secs_f64();
         assert!(
@@ -281,7 +239,7 @@ mod tests {
         );
         // Monotone non-decreasing send times.
         for w in probes.windows(2) {
-            assert!(w[0].at <= w[1].at);
+            assert!(w[0].0 <= w[1].0);
         }
     }
 
@@ -289,8 +247,8 @@ mod tests {
     fn order_is_permuted_not_sequential() {
         let (_, hl) = hitlist();
         let prober = Prober::new(ProbeConfig::default());
-        let probes = prober.schedule(&hl, Ipv4Addr::new(240, 0, 0, 1), SimTime::ZERO);
-        let sequential = probes.windows(2).filter(|w| w[1].index == w[0].index + 1).count();
+        let probes = schedule(&prober, &hl);
+        let sequential = probes.windows(2).filter(|w| w[1].1 == w[0].1 + 1).count();
         assert!(
             (sequential as f64) < probes.len() as f64 * 0.01,
             "{sequential} sequential pairs"
@@ -305,13 +263,13 @@ mod tests {
             ..ProbeConfig::default()
         };
         let prober = Prober::new(cfg);
-        let probes = prober.schedule(&hl, Ipv4Addr::new(240, 0, 0, 1), SimTime::ZERO);
-        for p in probes.iter().take(20) {
-            let msg = vp_packet::IcmpMessage::parse(&p.packet.payload).unwrap();
+        let probes = schedule(&prober, &hl);
+        for (_, index, packet) in probes.iter().take(20) {
+            let msg = IcmpMessage::parse(&packet.payload).unwrap();
             assert_eq!(msg.ident(), Some(0x77));
             match msg {
-                vp_packet::IcmpMessage::EchoRequest { payload, .. } => {
-                    assert_eq!(Prober::decode_payload(&payload), Some(p.index));
+                IcmpMessage::EchoRequest { payload, .. } => {
+                    assert_eq!(Prober::decode_payload(&payload), Some(*index));
                 }
                 other => panic!("expected request, got {other:?}"),
             }
@@ -321,8 +279,8 @@ mod tests {
     #[test]
     fn batched_build_is_bit_identical_to_single_build() {
         // The §7 contract rides on this: the batched path must produce
-        // the exact packets (bytes and struct fields) of the reference
-        // single-probe encoder, in schedule order.
+        // the exact packets (bytes and struct fields) of the independent
+        // single-probe reference encoder, in schedule order.
         let (_, hl) = hitlist();
         let cfg = ProbeConfig {
             ident: 0x4242,
@@ -334,8 +292,9 @@ mod tests {
         prober.walk_schedule(hl.len() as u64, SimTime::ZERO, |index, _| indices.push(index));
         let mut batched = Vec::new();
         for chunk in indices.chunks(97) {
-            let mut out = Vec::new();
-            prober.build_probes(&hl, chunk, source, &mut out);
+            let (mut out, mut images) = (Vec::new(), Vec::new());
+            prober.build_probes_with_replies(&hl, chunk, source, &mut out, &mut images);
+            assert_eq!(images.len(), out.len());
             batched.extend(out);
         }
         assert_eq!(batched.len(), indices.len());
@@ -365,12 +324,8 @@ mod tests {
             prober.build_probes_with_replies(&hl, chunk, source, &mut packets, &mut images);
             assert_eq!(packets.len(), chunk.len());
             assert_eq!(images.len(), chunk.len());
-            // Packets are the same as the image-less builder's.
-            let mut reference = Vec::new();
-            prober.build_probes(&hl, chunk, source, &mut reference);
-            assert_eq!(packets, reference);
             for (packet, image) in packets.iter().zip(&images) {
-                let parsed = vp_packet::IcmpMessage::parse_view(&packet.payload).unwrap();
+                let parsed = IcmpMessage::parse_view(&packet.payload).unwrap();
                 let responder = parsed.reply().expect("probes are echo requests").emit();
                 assert_eq!(&image[..], &responder[..]);
             }

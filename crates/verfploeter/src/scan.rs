@@ -9,7 +9,7 @@ use vp_topology::Internet;
 
 use crate::catchment::CatchmentMap;
 use crate::cleaning::{clean, CleaningStats};
-use crate::collector::{forward_to_central, forward_to_central_on, split_by_site};
+use crate::collector::{forward_to_central, split_by_site};
 use crate::prober::{ProbeConfig, Prober, PROBE_BATCH};
 use crate::rtt::RttTable;
 
@@ -119,9 +119,15 @@ pub fn rtt_bucket_bounds() -> Vec<u64> {
 /// round's phase + executor spans, bounded against runaway instrumentation.
 const FLIGHT_CAPACITY: usize = 4096;
 
+/// A recorder on the scan's wall-time flight channel, if one is attached.
+fn wall_recorder(config: &ScanConfig) -> Option<vp_obs::FlightRecorder> {
+    let channel = config.wall.clone()?;
+    Some(vp_obs::FlightRecorder::new(Box::new(channel), FLIGHT_CAPACITY)) // vp-lint: allow(p1): one recorder per engine and per round, never per probe.
+}
+
 /// Builds the round's **sim-time** flight timeline from shard-invariant
 /// marks: round start, last probe transmission, and the final sim clock.
-/// Both scan paths derive these from merged round artifacts, so the
+/// The merge derives these from the engines' merged artifacts, so the
 /// timeline is inside the §7 contract by construction — it cannot see the
 /// shard layout at all.
 fn sim_flight(started: SimTime, last_probe: SimTime, sim_end: SimTime) -> vp_obs::FlightTimeline {
@@ -143,99 +149,6 @@ fn sim_flight(started: SimTime, last_probe: SimTime, sim_end: SimTime) -> vp_obs
     rec.drain()
 }
 
-/// Builds the scan's observability snapshot from per-engine sidecars plus
-/// the final (already merged, shard-invariant) round artifacts. Shared by
-/// the serial and sharded paths so their registries agree byte for byte.
-#[allow(clippy::too_many_arguments)]
-// vp-lint: cold(fn): once-per-round observability assembly, after the event loops have drained.
-fn finish_obs(
-    engines: Vec<(vp_obs::Registry, vp_obs::TraceSummary)>,
-    sim_end: SimTime,
-    shard_probes: Vec<u64>,
-    probes_sent: u64,
-    started: SimTime,
-    last_probe: SimTime,
-    wall_flight: vp_obs::FlightTimeline,
-    sim_stats: &vp_sim::SimStats,
-    cleaning: &CleaningStats,
-    catchments: &CatchmentMap,
-    rtts: &RttTable,
-    announcement: &Announcement,
-) -> ScanObs {
-    let mut registry = vp_obs::Registry::new();
-    let mut trace = vp_obs::TraceSummary::default();
-    for (engine_registry, engine_trace) in &engines {
-        registry.merge(engine_registry);
-        trace.merge(engine_trace);
-    }
-    let flight = sim_flight(started, last_probe, sim_end);
-    // Only the sim channel's overflow count may enter the registry: wall
-    // channel depth varies with the shard layout, and the registry must
-    // stay shard-count-invariant.
-    registry.counter_add("flight.dropped_records", &[], flight.dropped);
-
-    let site_name = |idx: usize| {
-        announcement
-            .sites
-            .get(idx)
-            .map_or("unknown", |s| s.name.as_str())
-    };
-
-    registry.counter_add("scan.probes_sent", &[], probes_sent);
-    registry.counter_add("scan.blocks_mapped", &[], catchments.len() as u64);
-
-    registry.counter_add("sim.injected", &[], sim_stats.injected);
-    registry.counter_add("sim.replies", &[], sim_stats.replies);
-    registry.counter_add("sim.lost", &[], sim_stats.lost);
-    registry.counter_add("sim.duplicates", &[], sim_stats.duplicates);
-    registry.counter_add("sim.aliases", &[], sim_stats.aliases);
-    registry.counter_add("sim.unsolicited", &[], sim_stats.unsolicited);
-    registry.counter_add("sim.undeliverable", &[], sim_stats.undeliverable);
-    registry.counter_add("sim.delivered_to_hosts", &[], sim_stats.delivered_to_hosts);
-    registry.counter_add("sim.delivered_to_sites", &[], sim_stats.delivered_to_sites);
-    for (idx, n) in sim_stats.per_site_captures.iter().enumerate() {
-        registry.counter_add("sim.site_captures", &[("site", site_name(idx))], *n);
-    }
-
-    registry.counter_add("clean.total", &[], cleaning.total);
-    registry.counter_add("clean.duplicates", &[], cleaning.duplicates);
-    registry.counter_add("clean.foreign", &[], cleaning.foreign);
-    registry.counter_add("clean.unprobed_source", &[], cleaning.unprobed_source);
-    registry.counter_add("clean.late", &[], cleaning.late);
-    registry.counter_add("clean.kept", &[], cleaning.kept);
-
-    for (site, count) in catchments.site_counts() {
-        registry.counter_add(
-            "catchment.blocks",
-            &[("site", site_name(site.index()))],
-            count as u64,
-        );
-    }
-
-    // One insert for the whole RTT column: `histogram_observe` allocates
-    // its `MetricKey` on every call, which at ~one reply per probe was the
-    // single largest allocator source in the scan (the §17 witness counts
-    // it). Building the histogram locally and inserting once produces the
-    // identical registry state — including its absence when no reply
-    // carried an RTT.
-    if !rtts.is_empty() {
-        let mut hist = vp_obs::Histogram::new(rtt_bucket_bounds());
-        for rtt in rtts.values() {
-            hist.observe(rtt.as_nanos());
-        }
-        registry.insert_histogram("scan.rtt_ns", &[], hist);
-    }
-
-    ScanObs {
-        registry,
-        trace,
-        sim_end,
-        shard_probes,
-        flight,
-        wall_flight,
-    }
-}
-
 impl ScanResult {
     /// Blocks that were probed but produced no (usable) reply.
     ///
@@ -252,33 +165,322 @@ impl ScanResult {
     }
 }
 
-/// Flushes one accumulated batch of scheduled probes into the engine:
-/// builds the batch's packets **and their precomputed reply images**
-/// through the allocation-amortized
-/// [`Prober::build_probes_with_replies`] (two shared wire buffers,
-/// incremental checksums) and injects them in schedule order, which
-/// keeps the engine's per-packet sequence numbers — and therefore the
-/// §7 keyed fault draws — identical to the probe-at-a-time path.
-/// Responders answer with the precomputed image, so the reply path
-/// allocates nothing per probe. Clears the index/send-time accumulators
-/// for the next batch; `packets` and `reply_images` are the reused
-/// output buffers.
-fn send_batch(
-    prober: &Prober,
-    hitlist: &Hitlist,
-    source: vp_net::Ipv4Addr,
-    indices: &mut Vec<u64>,
-    ats: &mut Vec<SimTime>,
-    packets: &mut Vec<vp_packet::Ipv4Packet>,
-    reply_images: &mut Vec<bytes::Bytes>,
-    sim: &mut NetworkSim<'_>,
-) {
-    prober.build_probes_with_replies(hitlist, indices, source, packets, reply_images);
-    for ((packet, image), &at) in packets.drain(..).zip(reply_images.drain(..)).zip(ats.iter()) {
-        sim.send_probe_at(at, packet, image);
+/// The reused buffers of one probe batch: scheduled indices and send
+/// times accumulate until [`ProbeBatch::flush`] builds and injects them.
+struct ProbeBatch {
+    indices: Vec<u64>,
+    ats: Vec<SimTime>,
+    packets: Vec<vp_packet::Ipv4Packet>,
+    reply_images: Vec<bytes::Bytes>,
+}
+
+impl ProbeBatch {
+    fn new() -> Self {
+        ProbeBatch {
+            indices: Vec::with_capacity(PROBE_BATCH),
+            ats: Vec::with_capacity(PROBE_BATCH),
+            packets: Vec::with_capacity(PROBE_BATCH),
+            reply_images: Vec::with_capacity(PROBE_BATCH),
+        }
     }
-    indices.clear();
-    ats.clear();
+
+    /// Builds the batch's packets **and their precomputed reply images**
+    /// through the allocation-amortized
+    /// [`Prober::build_probes_with_replies`] (two shared wire buffers,
+    /// incremental checksums) and injects them in schedule order, which
+    /// keeps the engine's per-packet sequence numbers — and therefore the
+    /// §7 keyed fault draws — identical whatever the shard layout.
+    /// Responders answer with the precomputed image, so the reply path
+    /// allocates nothing per probe.
+    fn flush(
+        &mut self,
+        prober: &Prober,
+        hitlist: &Hitlist,
+        source: vp_net::Ipv4Addr,
+        sim: &mut NetworkSim<'_>,
+    ) {
+        let (packets, images) = (&mut self.packets, &mut self.reply_images);
+        prober.build_probes_with_replies(hitlist, &self.indices, source, packets, images);
+        for ((packet, image), &at) in packets.drain(..).zip(images.drain(..)).zip(&self.ats) {
+            sim.send_probe_at(at, packet, image);
+        }
+        self.indices.clear();
+        self.ats.clear();
+    }
+}
+
+/// One round's shared inputs: everything an engine needs besides its
+/// shard coordinates and its oracle.
+struct Round<'a> {
+    world: &'a Internet,
+    hitlist: &'a Hitlist,
+    announcement: &'a Announcement,
+    faults: FaultConfig,
+    start: SimTime,
+    config: &'a ScanConfig,
+    sim_seed: u64,
+}
+
+/// What one engine hands to the merge. Tracers and flight recorders hold
+/// `Rc` state, so an engine drains both into detached (`Send`) values
+/// before its outcome crosses a thread boundary.
+struct EngineOutcome {
+    catchments: CatchmentMap,
+    cleaning: CleaningStats,
+    rtts: RttTable,
+    sim_stats: vp_sim::SimStats,
+    /// Probes per engine, in shard order (one entry until merged).
+    shard_probes: Vec<u64>,
+    last_probe: SimTime,
+    sim_end: SimTime,
+    obs_registry: vp_obs::Registry,
+    obs_trace: vp_obs::TraceSummary,
+    /// The engine's wall-time phase spans; empty without a wall channel.
+    wall_flight: vp_obs::FlightTimeline,
+}
+
+impl EngineOutcome {
+    /// Folds the next engine's outcome into this one. Engines cover
+    /// disjoint hitlist ranges, so the unions are disjoint and the sums
+    /// exact.
+    fn merge(&mut self, o: EngineOutcome) {
+        self.catchments.merge(&o.catchments);
+        self.cleaning.merge(&o.cleaning);
+        self.rtts.merge(&o.rtts);
+        self.sim_stats.merge(&o.sim_stats);
+        self.shard_probes.extend(o.shard_probes);
+        self.last_probe = self.last_probe.max(o.last_probe);
+        // The union of the engines' event streams is the one-engine
+        // event stream, so the max final clock is its final clock.
+        self.sim_end = self.sim_end.max(o.sim_end);
+        self.obs_registry.merge(&o.obs_registry);
+        self.obs_trace.merge(&o.obs_trace);
+        self.wall_flight.merge(&o.wall_flight);
+    }
+
+    /// Turns the merged outcome of a round into its result, adding the
+    /// registry series derived from the merged (shard-invariant) round
+    /// artifacts, so registries agree byte for byte whatever the shard
+    /// count.
+    // vp-lint: cold(fn): once-per-round observability assembly, after the event loops have drained.
+    fn into_result(self, started: SimTime, announcement: &Announcement) -> ScanResult {
+        let probes_sent = self.shard_probes.iter().sum();
+        let mut registry = self.obs_registry;
+        let flight = sim_flight(started, self.last_probe, self.sim_end);
+        // Only the sim channel's overflow count may enter the registry: wall
+        // channel depth varies with the shard layout, and the registry must
+        // stay shard-count-invariant.
+        registry.counter_add("flight.dropped_records", &[], flight.dropped);
+
+        let site_name = |idx: usize| {
+            announcement
+                .sites
+                .get(idx)
+                .map_or("unknown", |s| s.name.as_str())
+        };
+
+        registry.counter_add("scan.probes_sent", &[], probes_sent);
+        registry.counter_add("scan.blocks_mapped", &[], self.catchments.len() as u64);
+
+        registry.counter_add("sim.injected", &[], self.sim_stats.injected);
+        registry.counter_add("sim.replies", &[], self.sim_stats.replies);
+        registry.counter_add("sim.lost", &[], self.sim_stats.lost);
+        registry.counter_add("sim.duplicates", &[], self.sim_stats.duplicates);
+        registry.counter_add("sim.aliases", &[], self.sim_stats.aliases);
+        registry.counter_add("sim.unsolicited", &[], self.sim_stats.unsolicited);
+        registry.counter_add("sim.undeliverable", &[], self.sim_stats.undeliverable);
+        registry.counter_add("sim.delivered_to_hosts", &[], self.sim_stats.delivered_to_hosts);
+        registry.counter_add("sim.delivered_to_sites", &[], self.sim_stats.delivered_to_sites);
+        for (idx, n) in self.sim_stats.per_site_captures.iter().enumerate() {
+            registry.counter_add("sim.site_captures", &[("site", site_name(idx))], *n);
+        }
+
+        registry.counter_add("clean.total", &[], self.cleaning.total);
+        registry.counter_add("clean.duplicates", &[], self.cleaning.duplicates);
+        registry.counter_add("clean.foreign", &[], self.cleaning.foreign);
+        registry.counter_add("clean.unprobed_source", &[], self.cleaning.unprobed_source);
+        registry.counter_add("clean.late", &[], self.cleaning.late);
+        registry.counter_add("clean.kept", &[], self.cleaning.kept);
+
+        for (site, count) in self.catchments.site_counts() {
+            registry.counter_add(
+                "catchment.blocks",
+                &[("site", site_name(site.index()))],
+                count as u64,
+            );
+        }
+
+        // One insert for the whole RTT column: `histogram_observe` allocates
+        // its `MetricKey` on every call, which at ~one reply per probe was the
+        // single largest allocator source in the scan (the §17 witness counts
+        // it). Building the histogram locally and inserting once produces the
+        // identical registry state — including its absence when no reply
+        // carried an RTT.
+        if !self.rtts.is_empty() {
+            let mut hist = vp_obs::Histogram::new(rtt_bucket_bounds());
+            for rtt in self.rtts.values() {
+                hist.observe(rtt.as_nanos());
+            }
+            registry.insert_histogram("scan.rtt_ns", &[], hist);
+        }
+
+        ScanResult {
+            catchments: self.catchments,
+            cleaning: self.cleaning,
+            probes_sent,
+            started,
+            last_probe: self.last_probe,
+            rtts: self.rtts,
+            sim_stats: self.sim_stats,
+            obs: ScanObs {
+                registry,
+                trace: self.obs_trace,
+                sim_end: self.sim_end,
+                shard_probes: self.shard_probes,
+                flight,
+                wall_flight: self.wall_flight,
+            },
+        }
+    }
+}
+
+impl Round<'_> {
+    /// The scan pipeline of engine `k` out of `shards` — its only copy:
+    /// [`run_scan`] runs engine 0 of 1, [`run_scan_sharded_on`] runs
+    /// engines `0..shards` on an executor.
+    ///
+    /// The engine walks the round's global schedule itself, so every
+    /// probe keeps the send time and relative injection order it has in
+    /// a one-engine round. It keeps the indices in its contiguous
+    /// [`Hitlist::shard_bounds`] range and streams them in
+    /// [`PROBE_BATCH`] bursts into a private simulator, drains the
+    /// simulator, then forwards, cleans (§4) and maps its replies. Send
+    /// times are kept for its own range only.
+    fn scan_engine(
+        &self,
+        k: usize,
+        shards: usize,
+        oracle: Box<dyn CatchmentOracle>, // vp-lint: allow(p4): each engine takes ownership of its oracle once, at setup.
+    ) -> EngineOutcome {
+        let (hitlist, config, start) = (self.hitlist, self.config, self.start);
+        let range = hitlist.shard_bounds(shards)[k].clone(); // vp-lint: allow(g1): both scan entry points only run engines k < shards.
+        let shard_id = Some(u32::try_from(k).unwrap_or(u32::MAX));
+        let wall_rec = wall_recorder(config);
+        // Each engine gets the round seed (keyed fault draws must agree
+        // across layouts) but an engine-distinct auxiliary RNG stream.
+        let mut sim =
+            NetworkSim::new_shard(self.world, self.faults.clone(), self.sim_seed, k as u64);
+        sim.attach_obs(config.trace);
+        let svc = sim.register_service(self.announcement.clone(), oracle, false);
+        let source = self.announcement.measurement_addr();
+
+        // Walk and probe building interleave, so one span covers both.
+        let guard = wall_rec
+            .as_ref()
+            .map(|r| r.span("scan.probe_build", "probe", shard_id));
+        let prober = Prober::new(config.probe.clone());
+        let mut last_probe = start;
+        let mut send_time = vec![SimTime::ZERO; range.len()]; // vp-lint: allow(p1): one send-time column per engine, sized before the probe loop.
+        let mut batch = ProbeBatch::new();
+        prober.walk_schedule(hitlist.len() as u64, start, |index, at| {
+            // Pacing is monotone and every engine walks the whole
+            // schedule, so each one ends on the round's last send time.
+            last_probe = at;
+            let i = conv::sat_usize(index);
+            if !range.contains(&i) {
+                return;
+            }
+            send_time[i - range.start] = at; // vp-lint: allow(g1): i lies in range, which send_time is sized to.
+            batch.indices.push(index);
+            batch.ats.push(at);
+            if batch.indices.len() == PROBE_BATCH {
+                batch.flush(&prober, hitlist, source, &mut sim);
+            }
+        });
+        if !batch.indices.is_empty() {
+            batch.flush(&prober, hitlist, source, &mut sim);
+        }
+        drop(guard);
+        let guard = wall_rec
+            .as_ref()
+            .map(|r| r.span("scan.sim_dispatch", "sim", shard_id));
+        sim.run();
+        drop(guard);
+
+        let captures = sim.take_captures(svc);
+        let central = forward_to_central(split_by_site(captures, self.announcement.sites.len()));
+        let guard = wall_rec
+            .as_ref()
+            .map(|r| r.span("scan.cleaning", "clean", shard_id));
+        let (clean_replies, cleaning) =
+            clean(&central, hitlist, config.probe.ident, start, config.cutoff);
+        drop(guard);
+        let guard = wall_rec
+            .as_ref()
+            .map(|r| r.span("scan.catchment_build", "map", shard_id));
+        let catchments = CatchmentMap::from_replies(&config.name, &clean_replies, hitlist);
+        let rtts = RttTable::from_pairs(clean_replies.iter().map(|r| {
+            let i = conv::sat_usize(r.index);
+            (hitlist.entry(i).block, r.at.since(send_time[i - range.start])) // vp-lint: allow(g1): replies are shard-closed (§7), so every kept index lies in this engine's range.
+        }));
+        drop(guard);
+        let (obs_registry, obs_trace) = sim
+            .take_obs()
+            .map(|obs| (obs.registry, obs.tracer.drain()))
+            .unwrap_or_default();
+        EngineOutcome {
+            catchments,
+            cleaning,
+            rtts,
+            sim_stats: sim.stats(),
+            shard_probes: vec![range.len() as u64], // vp-lint: allow(p1): one allocation per engine, at its end.
+            last_probe,
+            sim_end: sim.now(),
+            obs_registry,
+            obs_trace,
+            wall_flight: wall_rec.map(|r| r.drain()).unwrap_or_default(),
+        }
+    }
+
+    /// Runs the round: `engines` returns every engine's outcome in
+    /// shard-id order (plus the executor's per-shard timing marks, if an
+    /// executor ran them), and the outcomes merge into the result.
+    fn run(
+        &self,
+        engines: impl FnOnce() -> (Vec<EngineOutcome>, Vec<vp_sim::exec::ShardTiming>),
+    ) -> ScanResult {
+        // Orchestrator-level wall channel (shard = None) for the round
+        // and the merge. Engines record their phases on recorders of
+        // their own: recorder handles are `Rc`-based and never cross a
+        // thread boundary.
+        let wall_rec = wall_recorder(self.config);
+        let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
+        let (outcomes, shard_timings) = engines();
+        // Executor-level wall intervals: one queue-wait / compute /
+        // barrier-wait triple per shard (none without an executor).
+        if let Some(rec) = wall_rec.as_ref() {
+            for t in &shard_timings {
+                let sid = Some(u32::try_from(t.shard).unwrap_or(u32::MAX));
+                rec.record_interval("shard.queue_wait", "exec", sid, t.queued_ns, t.started_ns);
+                rec.record_interval("shard.compute", "exec", sid, t.started_ns, t.finished_ns);
+                rec.record_interval("shard.barrier_wait", "exec", sid, t.finished_ns, t.merged_ns);
+            }
+        }
+
+        let merge_guard = wall_rec.as_ref().map(|r| r.span("scan.merge", "merge", None));
+        let merged = outcomes.into_iter().reduce(|mut acc, o| {
+            acc.merge(o);
+            acc
+        });
+        // vp-lint: allow(g1): both entry points run at least one engine.
+        let Some(mut merged) = merged else { unreachable!("a round runs at least one engine") };
+        drop(merge_guard);
+        drop(round_guard);
+        if let Some(rec) = wall_rec {
+            merged.wall_flight.merge(&rec.drain());
+        }
+        merged.into_result(self.start, self.announcement)
+    }
 }
 
 /// Runs one full Verfploeter measurement at `start` over a fresh simulator.
@@ -287,6 +489,8 @@ fn send_batch(
 /// the measurement address in pseudorandom paced order, replies are
 /// captured concurrently at all sites, forwarded (tagged with their site)
 /// to the central point, cleaned per §4, and folded into a catchment map.
+/// One engine runs it on the calling thread (a boxed oracle is not
+/// `Send`).
 pub fn run_scan(
     world: &Internet,
     hitlist: &Hitlist,
@@ -297,129 +501,16 @@ pub fn run_scan(
     config: &ScanConfig,
     sim_seed: u64,
 ) -> ScanResult {
-    let mut sim = NetworkSim::new(world, faults, sim_seed);
-    sim.attach_obs(config.trace);
-    let svc = sim.register_service(announcement.clone(), oracle, false);
-    let source = announcement.measurement_addr();
-
-    // Wall-time flight channel, if the caller attached one. Guards close
-    // (and record) at the matching `drop`, so each phase's interval spans
-    // exactly the statements between its creation and drop.
-    let wall_rec = config
-        .wall
-        .clone()
-        .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY));
-    let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
-
-    let prober = Prober::new(config.probe.clone());
-    let probes_sent = hitlist.len() as u64;
-    let mut last_probe = start;
-    let mut send_time = vec![SimTime::ZERO; hitlist.len()];
-    // Stream the schedule into the engine in PROBE_BATCH-sized bursts:
-    // pacing is monotone, so the last walked time is the last probe's
-    // transmission time, and flushing whole batches preserves schedule
-    // order (hence injection sequence numbers) exactly. Probe packets are
-    // built inside the walk, so the serial path's walk span covers probe
-    // building too.
-    let mut batch_indices: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-    let mut batch_ats: Vec<SimTime> = Vec::with_capacity(PROBE_BATCH);
-    let mut batch_packets: Vec<vp_packet::Ipv4Packet> = Vec::with_capacity(PROBE_BATCH);
-    let mut batch_replies: Vec<bytes::Bytes> = Vec::with_capacity(PROBE_BATCH);
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.schedule_walk", "probe", None));
-    prober.walk_schedule(probes_sent, start, |index, at| {
-        send_time[conv::sat_usize(index)] = at; // vp-lint: allow(g1): walk indices are a permutation of this hitlist's indices.
-        last_probe = at;
-        batch_indices.push(index);
-        batch_ats.push(at);
-        if batch_indices.len() == PROBE_BATCH {
-            send_batch(
-                &prober,
-                hitlist,
-                source,
-                &mut batch_indices,
-                &mut batch_ats,
-                &mut batch_packets,
-                &mut batch_replies,
-                &mut sim,
-            );
-        }
-    });
-    if !batch_indices.is_empty() {
-        send_batch(
-            &prober,
-            hitlist,
-            source,
-            &mut batch_indices,
-            &mut batch_ats,
-            &mut batch_packets,
-            &mut batch_replies,
-            &mut sim,
-        );
-    }
-    drop(guard);
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.sim_dispatch", "sim", None));
-    sim.run();
-    drop(guard);
-
-    let num_sites = announcement.sites.len();
-    let captures = sim.take_captures(svc);
-    let by_site = split_by_site(captures, num_sites);
-    let central = forward_to_central(by_site);
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.cleaning", "clean", None));
-    let (clean_replies, cleaning) = clean(&central, hitlist, config.probe.ident, start, config.cutoff);
-    drop(guard);
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.catchment_build", "map", None));
-    let catchments = CatchmentMap::from_replies(&config.name, &clean_replies, hitlist);
-    let rtts = RttTable::from_pairs(clean_replies.iter().map(|r| {
-        let block = hitlist.entry(conv::sat_usize(r.index)).block;
-        (block, r.at.since(send_time[conv::sat_usize(r.index)])) // vp-lint: allow(g1): send_time is sized to the hitlist that minted r.index.
-    }));
-    drop(guard);
-    drop(round_guard);
-    let wall_flight = wall_rec.map(|r| r.drain()).unwrap_or_default();
-
-    let sim_stats = sim.stats();
-    let sim_end = sim.now();
-    let engines = match sim.take_obs() {
-        Some(engine_obs) => {
-            let engine_trace = engine_obs.tracer.drain();
-            vec![(engine_obs.registry, engine_trace)]
-        }
-        None => Vec::new(),
-    };
-    let obs = finish_obs(
-        engines,
-        sim_end,
-        vec![probes_sent],
-        probes_sent,
-        start,
-        last_probe,
-        wall_flight,
-        &sim_stats,
-        &cleaning,
-        &catchments,
-        &rtts,
+    let round = Round {
+        world,
+        hitlist,
         announcement,
-    );
-
-    ScanResult {
-        catchments,
-        cleaning,
-        probes_sent,
-        started: start,
-        last_probe,
-        rtts,
-        sim_stats,
-        obs,
-    }
+        faults,
+        start,
+        config,
+        sim_seed,
+    };
+    round.run(|| (vec![round.scan_engine(0, 1, oracle)], Vec::new()))
 }
 
 /// Runs one full Verfploeter measurement partitioned over `shards`
@@ -427,10 +518,11 @@ pub fn run_scan(
 /// [`ScanResult`] **bit-identical** to [`run_scan`] with the same inputs.
 ///
 /// The hitlist is split into contiguous, block-ordered shards
-/// ([`Hitlist::shard_bounds`]); the global probe schedule is computed once
-/// (so every probe keeps its serial transmission time and payload index)
-/// and each shard's probes are replayed into a private engine seeded for
-/// that shard. Equivalence to the serial run rests on two invariants:
+/// ([`Hitlist::shard_bounds`]); every engine walks the global probe
+/// schedule (so every probe keeps its serial transmission time and
+/// payload index) and injects only its own shard's probes into a private
+/// engine seeded for that shard. Equivalence to the serial run rests on
+/// two invariants:
 ///
 /// 1. **Order-independent fault draws.** Every stochastic outcome in
 ///    [`vp_sim`] is a keyed hash of the round seed and the packet's
@@ -485,7 +577,7 @@ pub fn run_scan_sharded(
 /// equivalence tests) pick how many OS threads run the shard engines,
 /// from fully inline ([`ShardExecutor::serial`]) to a fixed thread count
 /// ([`ShardExecutor::new`]). The result is bit-identical across all of
-/// them — the executor only schedules work, the merge below is always in
+/// them — the executor only schedules work, the merge is always in
 /// shard-id order.
 ///
 /// # Panics
@@ -503,221 +595,25 @@ pub fn run_scan_sharded_on(
     shards: usize,
 ) -> ScanResult {
     assert!(shards > 0, "cannot scan with zero shards");
-    let source = announcement.measurement_addr();
-    let num_sites = announcement.sites.len();
-
-    // Orchestrator-level wall channel (shard = None): the global schedule
-    // prepass and the merge run on the calling thread. Shard workers get
-    // their own recorders inside the job closure — recorder handles are
-    // `Rc`-based and never cross a thread boundary.
-    let wall_rec = config
-        .wall
-        .clone()
-        .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY)); // vp-lint: allow(p1): the orchestrator's wall recorder is built once per scan.
-    let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
-
-    // Global schedule, identical to the serial path: pacing and payload
-    // indices must not depend on the shard count. One prepass walk records
-    // send times and slices the schedule per shard — each shard's
-    // `(index, at)` pairs in global walk order, 16 bytes per probe — so
-    // the engines never re-walk the schedule. Probe *packets* (payload
-    // bytes and all) are still materialized only inside the owning
-    // engine, at O(hitlist/K) packets per engine.
-    let prober = Prober::new(config.probe.clone());
-    let probes_sent = hitlist.len() as u64;
-    let mut last_probe = start;
-    let mut send_time = vec![SimTime::ZERO; hitlist.len()]; // vp-lint: allow(p1): schedule prepass buffer, one allocation per scan.
-    let mut schedule_slices: Vec<Vec<(u64, SimTime)>> = vec![Vec::new(); shards]; // vp-lint: allow(p1): one slice vector per shard, allocated before the probe loop.
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.schedule_walk", "probe", None));
-    prober.walk_schedule(probes_sent, start, |index, at| {
-        send_time[conv::sat_usize(index)] = at; // vp-lint: allow(g1): walk indices are a permutation of this hitlist's indices.
-        last_probe = at;
-        schedule_slices[hitlist.shard_of(conv::sat_usize(index), shards)].push((index, at)); // vp-lint: allow(g1): shard_of returns a value < shards by contract.
-    });
-    drop(guard);
-
-    // One engine per shard, run on the blessed executor. Each engine gets
-    // the same round seed (keyed fault draws must agree with the serial
-    // engine) but a shard-distinct auxiliary RNG stream via
-    // `NetworkSim::new_shard`. The executor returns outcomes in shard-id
-    // order, so the merge below folds shard 0, 1, 2, … by construction.
-    struct ShardOutcome {
-        catchments: CatchmentMap,
-        cleaning: CleaningStats,
-        rtts: RttTable,
-        sim_stats: vp_sim::SimStats,
-        probes: u64,
-        sim_end: SimTime,
-        // Tracers hold `Rc` state, so engines drain to a detached
-        // (Send) registry + summary before crossing the thread boundary.
-        obs_registry: vp_obs::Registry,
-        obs_trace: vp_obs::TraceSummary,
-        // Likewise a detached (Send) snapshot of the shard's wall-time
-        // flight recorder; empty when no wall channel is attached.
-        wall_flight: vp_obs::FlightTimeline,
-    }
-    let (outcomes, shard_timings): (Vec<ShardOutcome>, Vec<vp_sim::exec::ShardTiming>) = exec
-        .run_sharded_timed(
+    let round = Round {
+        world,
+        hitlist,
+        announcement,
+        faults,
+        start,
+        config,
+        sim_seed,
+    };
+    round.run(|| {
+        exec.run_sharded_timed(
             shards,
-            |k| {
-                let shard_id = Some(u32::try_from(k).unwrap_or(u32::MAX));
-                let shard_rec = config
-                    .wall
-                    .clone()
-                    .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY)); // vp-lint: allow(p1): one recorder per shard worker, not per probe.
-                let mut sim = NetworkSim::new_shard(world, faults.clone(), sim_seed, k as u64);
-                sim.attach_obs(config.trace);
-                let svc = sim.register_service(announcement.clone(), make_oracle(), false);
-                // Replay this shard's slice of the global schedule: identical
-                // send times and payload indices to the serial path, in the same
-                // (global walk) injection order the serial engine saw.
-                let slice = &schedule_slices[k]; // vp-lint: allow(g1): the executor only calls k < shards, the length of schedule_slices.
-                let probes = slice.len() as u64;
-                let guard = shard_rec
-                    .as_ref()
-                    .map(|r| r.span("scan.probe_build", "probe", shard_id));
-                let mut batch_indices: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-                let mut batch_ats: Vec<SimTime> = Vec::with_capacity(PROBE_BATCH);
-                let mut batch_packets: Vec<vp_packet::Ipv4Packet> =
-                    Vec::with_capacity(PROBE_BATCH);
-                let mut batch_replies: Vec<bytes::Bytes> = Vec::with_capacity(PROBE_BATCH);
-                for chunk in slice.chunks(PROBE_BATCH) {
-                    for &(index, at) in chunk {
-                        batch_indices.push(index);
-                        batch_ats.push(at);
-                    }
-                    send_batch(
-                        &prober,
-                        hitlist,
-                        source,
-                        &mut batch_indices,
-                        &mut batch_ats,
-                        &mut batch_packets,
-                        &mut batch_replies,
-                        &mut sim,
-                    );
-                }
-                drop(guard);
-                let guard = shard_rec
-                    .as_ref()
-                    .map(|r| r.span("scan.sim_dispatch", "sim", shard_id));
-                sim.run();
-                drop(guard);
-
-                let captures = sim.take_captures(svc);
-                let by_site = split_by_site(captures, num_sites);
-                // Serial site forwarding: this closure is already on a shard
-                // worker thread; nesting another pool would oversubscribe.
-                let central = forward_to_central_on(&ShardExecutor::serial(), by_site);
-                let guard = shard_rec
-                    .as_ref()
-                    .map(|r| r.span("scan.cleaning", "clean", shard_id));
-                let (clean_replies, cleaning) =
-                    clean(&central, hitlist, config.probe.ident, start, config.cutoff);
-                drop(guard);
-                let guard = shard_rec
-                    .as_ref()
-                    .map(|r| r.span("scan.catchment_build", "map", shard_id));
-                let catchments = CatchmentMap::from_replies(&config.name, &clean_replies, hitlist);
-                let rtts = RttTable::from_pairs(clean_replies.iter().map(|r| {
-                    let block = hitlist.entry(conv::sat_usize(r.index)).block;
-                    (block, r.at.since(send_time[conv::sat_usize(r.index)])) // vp-lint: allow(g1): send_time is sized to the hitlist that minted r.index.
-                }));
-                drop(guard);
-                let sim_end = sim.now();
-                let (obs_registry, obs_trace) = match sim.take_obs() {
-                    Some(engine_obs) => {
-                        let trace = engine_obs.tracer.drain();
-                        (engine_obs.registry, trace)
-                    }
-                    None => Default::default(),
-                };
-                ShardOutcome {
-                    catchments,
-                    cleaning,
-                    rtts,
-                    sim_stats: sim.stats(),
-                    probes,
-                    sim_end,
-                    obs_registry,
-                    obs_trace,
-                    wall_flight: shard_rec.map(|r| r.drain()).unwrap_or_default(),
-                }
-            },
+            |k| round.scan_engine(k, shards, make_oracle()),
             config
                 .wall
                 .as_ref()
                 .map(|w| w as &(dyn vp_obs::Clock + Sync)), // vp-lint: allow(p4): one clock cast per scan, handing the wall channel to the executor.
-        );
-
-    // Executor-level wall intervals: one queue-wait / compute / barrier-wait
-    // triple per shard, derived from the timing marks the executor read
-    // from the wall channel (empty without one).
-    if let Some(rec) = wall_rec.as_ref() {
-        for t in &shard_timings {
-            let sid = Some(u32::try_from(t.shard).unwrap_or(u32::MAX));
-            rec.record_interval("shard.queue_wait", "exec", sid, t.queued_ns, t.started_ns);
-            rec.record_interval("shard.compute", "exec", sid, t.started_ns, t.finished_ns);
-            rec.record_interval("shard.barrier_wait", "exec", sid, t.finished_ns, t.merged_ns);
-        }
-    }
-
-    // Deterministic merge in shard-index order (the executor's output
-    // order). The shards cover disjoint hitlist slices, so the unions are
-    // disjoint and the sums exact.
-    let merge_guard = wall_rec.as_ref().map(|r| r.span("scan.merge", "merge", None));
-    let mut catchments = CatchmentMap::from_pairs(&config.name, std::iter::empty());
-    let mut cleaning = CleaningStats::default();
-    let mut rtts = RttTable::default();
-    let mut sim_stats = vp_sim::SimStats::default();
-    let mut sim_end = SimTime::ZERO;
-    let mut shard_probes = Vec::with_capacity(outcomes.len());
-    let mut engines = Vec::with_capacity(outcomes.len());
-    let mut wall_flight = vp_obs::FlightTimeline::default();
-    for o in &outcomes {
-        catchments.merge(&o.catchments);
-        cleaning.merge(&o.cleaning);
-        rtts.merge(&o.rtts);
-        sim_stats.merge(&o.sim_stats);
-        // The union of shard event streams is the serial event stream, so
-        // the max final clock equals the serial engine's final clock.
-        sim_end = sim_end.max(o.sim_end);
-        shard_probes.push(o.probes);
-        engines.push((o.obs_registry.clone(), o.obs_trace.clone()));
-        wall_flight.merge(&o.wall_flight);
-    }
-    drop(merge_guard);
-    drop(round_guard);
-    if let Some(rec) = wall_rec {
-        wall_flight.merge(&rec.drain());
-    }
-    let obs = finish_obs(
-        engines,
-        sim_end,
-        shard_probes,
-        probes_sent,
-        start,
-        last_probe,
-        wall_flight,
-        &sim_stats,
-        &cleaning,
-        &catchments,
-        &rtts,
-        announcement,
-    );
-
-    ScanResult {
-        catchments,
-        cleaning,
-        probes_sent,
-        started: start,
-        last_probe,
-        rtts,
-        sim_stats,
-        obs,
-    }
+        )
+    })
 }
 
 #[cfg(test)]

@@ -212,10 +212,25 @@ impl vp_obs::Clock for CountingClock {
     }
 }
 
+/// The span names one wall timeline records for engine `Some(k)` or for
+/// the orchestrator (`None`), in timeline order, without the executor's
+/// per-shard `shard.*` rows.
+fn wall_phases(timeline: &vp_obs::FlightTimeline, shard: Option<u32>) -> Vec<&str> {
+    timeline
+        .spans
+        .iter()
+        .filter(|sp| sp.shard == shard && !sp.name.starts_with("shard."))
+        .map(|sp| sp.name.as_str())
+        .collect()
+}
+
 /// Attaching a wall-time flight channel is observation, not
 /// perturbation: every §7-governed artifact — registry bytes, catchments,
 /// the sim flight timeline — must stay bit-identical to the serial run,
 /// while the wall timeline itself is explicitly outside the contract.
+/// The wall timelines also show that there is one scan pipeline: the
+/// serial scan's engine records the same phases as every shard engine,
+/// and neither orchestrator runs a schedule prepass.
 #[test]
 fn wall_channel_is_outside_the_contract() {
     let s = Scenario::broot(TopologyConfig::tiny(84), 7);
@@ -257,6 +272,13 @@ fn wall_channel_is_outside_the_contract() {
         !serial_wall.obs.wall_flight.is_empty(),
         "attached channel must record the serial phase intervals"
     );
+    let orchestrator = ["scan.round", "scan.merge"];
+    let engine_phases = wall_phases(&serial_wall.obs.wall_flight, Some(0));
+    assert!(
+        !engine_phases.is_empty(),
+        "the serial scan runs engine 0 of 1, which records its phases"
+    );
+    assert_eq!(wall_phases(&serial_wall.obs.wall_flight, None), orchestrator);
 
     for shards in SHARD_COUNTS {
         let sharded = run_scan_sharded_on(
@@ -284,6 +306,19 @@ fn wall_channel_is_outside_the_contract() {
             compute_shards.len(),
             shards,
             "K={shards}: every shard must report a compute interval"
+        );
+        for k in 0..shards {
+            let k = u32::try_from(k).unwrap();
+            assert_eq!(
+                wall_phases(&sharded.obs.wall_flight, Some(k)),
+                engine_phases,
+                "K={shards}: shard {k} must record the serial engine's phases"
+            );
+        }
+        assert_eq!(
+            wall_phases(&sharded.obs.wall_flight, None),
+            orchestrator,
+            "K={shards}: orchestrator spans"
         );
     }
 }

@@ -13,8 +13,9 @@
 //! The region is the forward closure of the scan inner loops over the
 //! PR 7 call graph:
 //!
-//! * the prober walk (`Prober::walk_schedule` / `build_probe` /
-//!   `build_probes`),
+//! * the prober walk and batch encoder (`Prober::walk_schedule` /
+//!   `build_probes_with_replies`) and the scan engine body that drives
+//!   them (`Round::scan_engine`, run by the serial and sharded scans alike),
 //! * the six engine phases (`NetworkSim::send_at` / `transmit` /
 //!   `resolve` / `run` / `arrive_at_site` / `arrive_at_host`),
 //! * every parallel-region entry (the closure handed to the blessed
@@ -59,8 +60,8 @@ pub const P_CRATES: [&str; 5] = ["vp-packet", "vp-net", "vp-hitlist", "vp-sim", 
 /// region even when no executor entry reaches them (the serial path).
 const HOT_ROOTS: [(&str, &str); 9] = [
     ("Prober", "walk_schedule"),
-    ("Prober", "build_probe"),
-    ("Prober", "build_probes"),
+    ("Prober", "build_probes_with_replies"),
+    ("Round", "scan_engine"),
     ("NetworkSim", "send_at"),
     ("NetworkSim", "transmit"),
     ("NetworkSim", "resolve"),

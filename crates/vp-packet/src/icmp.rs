@@ -91,7 +91,7 @@ impl IcmpMessage {
     }
 
     /// Serializes this message into `out` (wire-identical to [`emit`],
-    /// without allocating): the workhorse behind [`encode_batch`].
+    /// without allocating).
     ///
     /// [`emit`]: IcmpMessage::emit
     fn emit_into(&self, out: &mut BytesMut) {
@@ -116,7 +116,7 @@ impl IcmpMessage {
         out.put_u16(0); // checksum placeholder
         out.put_u16(a);
         out.put_u16(b);
-        out.extend_from_slice(body); // vp-lint: allow(p1): appends into the caller's buffer — pre-sized by encode_batch on the batched path.
+        out.extend_from_slice(body); // vp-lint: allow(p1): appends into the caller's buffer, which `emit` pre-sizes.
         let ck = checksum::internet_checksum(&out[base..]); // vp-lint: allow(g1): `base` was `out.len()` before the writes just above.
         out[base + 2..base + 4].copy_from_slice(&ck.to_be_bytes()); // vp-lint: allow(g1): the 8 fixed header bytes from `base` were written just above.
     }
@@ -186,48 +186,33 @@ impl IcmpMessage {
 }
 
 /// Encodes a batch of `count` echo requests — all tagged `ident`, all
-/// carrying `payload_len`-byte payloads — into **one shared buffer**,
-/// handing each message's wire image to `emit` as a zero-copy view.
+/// carrying `payload_len`-byte payloads — plus each request's **echo
+/// reply**, into two shared buffers, handing message `i`'s wire images to
+/// `emit(i, request, reply)` as zero-copy views.
 ///
 /// For message `i`, `fill(i, &mut seq, payload)` sets the sequence
 /// number and the payload bytes in place (the payload starts zeroed).
-/// Each wire image is byte-identical to
-/// `IcmpMessage::echo_request(ident, seq, payload).emit()`, but the cost
-/// profile is the hot-loop one: a single buffer allocation per batch
-/// instead of one (plus a copy) per probe, and the checksum of message
-/// `i > 0` derived from message `i-1` via
-/// [`checksum::incremental_update`] over only the words that changed —
-/// the fixed header and payload template words are never re-summed.
-///
-/// The exactness of the incremental chain rests on the type byte
-/// (`ECHO_REQUEST = 8`) keeping every message's word sum nonzero; see
-/// [`checksum::incremental_update`].
-pub fn encode_batch<F, E>(ident: u16, payload_len: usize, count: usize, mut fill: F, mut emit: E)
-where
-    F: FnMut(usize, &mut u16, &mut [u8]),
-    E: FnMut(usize, Bytes),
-{
-    let msg_len = MIN_LEN + payload_len;
-    let (frozen, _checksums) = encode_requests(ident, payload_len, count, &mut fill);
-    for i in 0..count {
-        emit(i, frozen.slice(i * msg_len..(i + 1) * msg_len));
-    }
-}
-
-/// [`encode_batch`] plus each request's **echo reply** wire image, encoded
-/// into a second shared buffer: `emit(i, request, reply)` where `reply` is
-/// byte-identical to `request`'s parsed message run through
+/// Each request image is byte-identical to
+/// `IcmpMessage::echo_request(ident, seq, payload).emit()`, and each
+/// reply image to that request's parsed message run through
 /// [`IcmpMessage::reply`] and [`IcmpMessage::emit`] (the equivalence tests
-/// pin this). A reply differs from its request in exactly two words — the
-/// type/code word and the checksum — so each reply image costs one copy
-/// into the shared buffer and one [`checksum::incremental_update`], never
-/// a per-message allocation or re-sum. Simulated responders then answer
+/// pin both). The cost profile is the hot-loop one: one buffer
+/// allocation per side per batch instead of one (plus a copy) per probe,
+/// and the checksum of request `i > 0` derived from request `i-1` via
+/// [`checksum::incremental_update`] over only the words that changed —
+/// the fixed header and payload template words are never re-summed. A
+/// reply differs from its request in exactly two words — the type/code
+/// word and the checksum — so each reply image costs one copy into the
+/// shared buffer and one [`checksum::incremental_update`], never a
+/// per-message allocation or re-sum. Simulated responders then answer
 /// probes by handing back the precomputed image instead of serializing a
 /// fresh reply per probe (rule p1; the allocation witness counts this).
 ///
-/// Exactness of the patched reply checksum needs at least one nonzero
-/// word among ident/seq/payload (the reply's type byte is zero, so it no
-/// longer anchors the sum — see [`checksum::incremental_update`]);
+/// The request chain is exact because the type byte (`ECHO_REQUEST = 8`)
+/// keeps every request's word sum nonzero. Exactness of the patched reply
+/// checksum needs at least one nonzero word among ident/seq/payload (the
+/// reply's type byte is zero, so it no longer anchors the sum — see
+/// [`checksum::incremental_update`]);
 /// Verfploeter payloads always carry the nonzero magic tag, and a debug
 /// assertion cross-checks every image against a full recompute.
 // vp-lint: allow(g1): every index is inside `count * msg_len`, the exact length written into both buffers by construction.
@@ -273,10 +258,10 @@ pub fn encode_batch_with_replies<F, E>(
     }
 }
 
-/// The shared request encoder behind [`encode_batch`] and
-/// [`encode_batch_with_replies`]: all `count` wire images in one buffer,
-/// message `i > 0`'s checksum derived incrementally from message `i-1`'s
-/// (see [`encode_batch`] for the cost and exactness contract). Returns
+/// The request encoder behind [`encode_batch_with_replies`]: all `count`
+/// wire images in one buffer, message `i > 0`'s checksum derived
+/// incrementally from message `i-1`'s (see [`encode_batch_with_replies`]
+/// for the cost and exactness contract). Returns
 /// the frozen buffer plus the per-message checksums, which the reply
 /// encoder patches into reply checksums.
 // vp-lint: allow(g1): every index is inside `count * msg_len`, the exact length written into the buffer by construction.
@@ -435,80 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_batch_is_bit_identical_to_per_message_emit() {
-        // Random probes across several payload lengths (including odd
-        // tails and empty payloads): every batched wire image must match
-        // the single-message encoder byte for byte.
-        let mut rng = Lcg(0x5650_4c54);
-        for payload_len in [0usize, 1, 7, 12, 13, 64, 65] {
-            for count in [1usize, 2, 3, 17] {
-                let mut seqs = Vec::with_capacity(count);
-                let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(count);
-                for _ in 0..count {
-                    seqs.push(rng.next_u16());
-                    payloads.push((0..payload_len).map(|_| rng.next_u8()).collect());
-                }
-                let ident = rng.next_u16();
-                let mut batched: Vec<Bytes> = Vec::with_capacity(count);
-                encode_batch(
-                    ident,
-                    payload_len,
-                    count,
-                    |i, seq, payload| {
-                        *seq = seqs[i];
-                        payload.copy_from_slice(&payloads[i]);
-                    },
-                    |_, wire| batched.push(wire),
-                );
-                assert_eq!(batched.len(), count);
-                for i in 0..count {
-                    let single = IcmpMessage::echo_request(
-                        ident,
-                        seqs[i],
-                        Bytes::copy_from_slice(&payloads[i]),
-                    )
-                    .emit();
-                    assert_eq!(
-                        &batched[i][..],
-                        &single[..],
-                        "payload_len={payload_len} count={count} message {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn encode_batch_identical_consecutive_probes() {
-        // Consecutive identical messages exercise the "no words changed"
-        // path of the incremental chain.
-        let mut wires = Vec::new();
-        encode_batch(7, 4, 3, |_, seq, p| {
-            *seq = 42;
-            p.copy_from_slice(b"same");
-        }, |_, w| wires.push(w));
-        let reference = IcmpMessage::echo_request(7, 42, Bytes::from_static(b"same")).emit();
-        for w in &wires {
-            assert_eq!(&w[..], &reference[..]);
-        }
-    }
-
-    #[test]
-    fn encode_batch_messages_parse_and_verify() {
-        let mut wires = Vec::new();
-        encode_batch(0xbeef, 12, 5, |i, seq, p| {
-            *seq = i as u16;
-            p[..4].copy_from_slice(b"VPLT");
-            p[4..].copy_from_slice(&(i as u64).to_be_bytes());
-        }, |_, w| wires.push(w));
-        for (i, w) in wires.iter().enumerate() {
-            let parsed = IcmpMessage::parse(w).unwrap();
-            assert_eq!(parsed.ident(), Some(0xbeef));
-            assert_eq!(parsed.seq(), Some(i as u16));
-        }
-    }
-
-    #[test]
     fn parse_view_matches_owned_parse() {
         // Same results (values and errors) on every shape the owned
         // parser handles, without copying the body out of the buffer.
@@ -549,20 +460,28 @@ mod tests {
 
     #[test]
     fn encode_batch_with_replies_matches_reference_encoders() {
-        // Every batched request must match the single-message encoder and
-        // every batched reply must match that request's parsed message run
-        // through reply() + emit() — the §7 bit-equivalence contract of
-        // the precomputed-reply fast path. Payloads carry a nonzero tag
-        // byte (the documented precondition of the reply checksum patch).
+        // Random messages across several payload lengths (including odd
+        // tails and empty payloads): every batched request must match the
+        // single-message encoder and every batched reply must match that
+        // request's parsed message run through reply() + emit() — the §7
+        // bit-equivalence contract of the precomputed-reply fast path.
+        // Each message carries a nonzero word (a tag byte, or the seq of
+        // an empty payload): the documented precondition of the reply
+        // checksum patch.
         let mut rng = Lcg(0x5245_504c);
-        for payload_len in [4usize, 7, 12, 13, 64, 65] {
+        for payload_len in [0usize, 1, 4, 7, 12, 13, 64, 65] {
             for count in [1usize, 2, 3, 17] {
                 let mut seqs = Vec::with_capacity(count);
                 let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(count);
                 for _ in 0..count {
-                    seqs.push(rng.next_u16());
                     let mut p: Vec<u8> = (0..payload_len).map(|_| rng.next_u8()).collect();
-                    p[0] = 0x56; // nonzero word, per the documented precondition
+                    match p.first_mut() {
+                        Some(tag) => {
+                            *tag = 0x56;
+                            seqs.push(rng.next_u16());
+                        }
+                        None => seqs.push(rng.next_u16() | 1),
+                    }
                     payloads.push(p);
                 }
                 let ident = rng.next_u16();
@@ -589,6 +508,9 @@ mod tests {
                         &single.emit()[..],
                         "request: payload_len={payload_len} count={count} message {i}"
                     );
+                    // The request image parses, checksum verified, as the
+                    // request it claims to be.
+                    assert_eq!(IcmpMessage::parse_view(&batched[i].0).unwrap(), single);
                     let reference_reply = single.reply().expect("requests reply").emit();
                     assert_eq!(
                         &batched[i].1[..],
@@ -607,6 +529,27 @@ mod tests {
                     }
                 }
             }
+        }
+
+        // Identical consecutive messages exercise the "no words changed"
+        // path of the incremental chain.
+        let mut same = Vec::new();
+        encode_batch_with_replies(
+            7,
+            4,
+            3,
+            |_, seq, p| {
+                *seq = 42;
+                p.copy_from_slice(b"same");
+            },
+            |_, request, reply| same.push((request, reply)),
+        );
+        let reference = IcmpMessage::echo_request(7, 42, Bytes::from_static(b"same"));
+        let reference_reply = reference.reply().expect("requests reply").emit();
+        assert_eq!(same.len(), 3);
+        for (request, reply) in &same {
+            assert_eq!(&request[..], &reference.emit()[..]);
+            assert_eq!(&reply[..], &reference_reply[..]);
         }
     }
 

@@ -166,9 +166,10 @@ impl ShardExecutor {
         // All jobs are queued before any worker is spawned.
         let queued_ns = now(clock);
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for batch in batches {
                 let job = &job;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     for (k, tx) in batch {
                         let started_ns = now(clock);
                         let result = job(k);
@@ -178,7 +179,7 @@ impl ShardExecutor {
                         // which case the result is moot.
                         let _ = tx.send((result, started_ns, finished_ns));
                     }
-                });
+                }));
             }
             let mut results = Vec::with_capacity(shards);
             let mut timings = Vec::new();
@@ -196,6 +197,16 @@ impl ShardExecutor {
                         finished_ns,
                         merged_ns: now(clock),
                     });
+                }
+            }
+            // Join every worker before returning. The scope alone only
+            // waits for the worker closures, not for the OS threads to
+            // exit; a thread still exiting holds its allocator arena, so
+            // the next call's workers would open fresh arenas and the
+            // process's memory would grow with thread-exit timing.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
                 }
             }
             (results, timings)
