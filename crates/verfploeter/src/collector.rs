@@ -63,6 +63,7 @@ pub fn forward_to_central(captures_by_site: Vec<Vec<SiteCapture>>) -> Vec<RawRep
 /// Splits a flat capture log into per-site logs (what each site's capture
 /// box would have recorded locally).
 pub fn split_by_site(captures: Vec<SiteCapture>, num_sites: usize) -> Vec<Vec<SiteCapture>> {
+    // vp-lint: allow(p1): one log per site, split once per engine after the event loop.
     let mut by_site: Vec<Vec<SiteCapture>> = (0..num_sites).map(|_| Vec::new()).collect();
     for cap in captures {
         let idx = cap.site.index();

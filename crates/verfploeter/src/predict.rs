@@ -9,23 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use vp_bgp::{RoutingTable, SiteId};
 use vp_dns::QueryLog;
 
 use crate::catchment::CatchmentMap;
 use crate::load::load_fraction_to;
-
-/// One row of Table 6: a method, what it measures, and the split.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MethodRow {
-    pub date: String,
-    pub method: String,
-    /// Human description of the measurement size (e.g. "9,682 VPs").
-    pub measurement: String,
-    /// Fraction of the measured quantity going to the reference site.
-    pub fraction: f64,
-}
 
 /// The actually *measured* load split: queries of every traffic-sending
 /// block delivered to its true site under `routing`. Returns the fraction

@@ -42,7 +42,7 @@ impl RttTable {
     /// later pairs win on duplicate blocks, matching map-insert semantics.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (Block24, SimDuration)>) -> RttTable {
         let mut rows: Vec<(Block24, u32)> =
-            pairs.into_iter().map(|(b, r)| (b, pack_ns(r))).collect();
+            pairs.into_iter().map(|(b, r)| (b, pack_ns(r))).collect(); // vp-lint: allow(p1): one row buffer per table; a scan builds its table once per engine, after the event loop.
         // Stable sort + keep-last reproduces `BTreeMap::insert` semantics.
         rows.sort_by_key(|&(b, _)| b);
         let mut blocks = Vec::with_capacity(rows.len());

@@ -17,7 +17,7 @@ use vp_topology::Internet;
 use crate::catchment::CatchmentMap;
 
 /// Per-round classification counts (one Fig. 9 data point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundDelta {
     /// Round index (1-based: deltas compare round r against r-1).
     pub round: u32,
@@ -27,31 +27,38 @@ pub struct RoundDelta {
     pub from_nr: u64,
 }
 
+/// Classifies round `cur` against the round before it, `prev`: the one
+/// §6.3 walk every round-pair consumer builds on. `round` is `cur`'s
+/// 1-based index in its sequence. `on_flip` sees each flipped block (same
+/// VP, different site) once, in block order.
+pub fn classify_pair(
+    prev: &CatchmentMap,
+    cur: &CatchmentMap,
+    round: u32,
+    mut on_flip: impl FnMut(Block24),
+) -> RoundDelta {
+    let mut delta = RoundDelta { round, ..RoundDelta::default() };
+    for (block, site) in prev.iter() {
+        match cur.site_of(block) {
+            Some(s) if s == site => delta.stable += 1,
+            Some(_) => {
+                delta.flipped += 1;
+                on_flip(block);
+            }
+            None => delta.to_nr += 1,
+        }
+    }
+    delta.from_nr = cur.iter().filter(|(b, _)| prev.site_of(*b).is_none()).count() as u64;
+    delta
+}
+
 /// Classifies consecutive measurement rounds. Returns one delta per round
 /// after the first.
 pub fn classify_rounds(rounds: &[CatchmentMap]) -> Vec<RoundDelta> {
     rounds
         .windows(2)
         .enumerate()
-        .map(|(i, w)| {
-            let (prev, cur) = (&w[0], &w[1]); // vp-lint: allow(g1): windows(2) yields exactly two elements.
-            let mut delta = RoundDelta {
-                round: conv::sat_u32(i) + 1,
-                stable: 0,
-                flipped: 0,
-                to_nr: 0,
-                from_nr: 0,
-            };
-            for (block, site) in prev.iter() {
-                match cur.site_of(block) {
-                    Some(s) if s == site => delta.stable += 1,
-                    Some(_) => delta.flipped += 1,
-                    None => delta.to_nr += 1,
-                }
-            }
-            delta.from_nr = cur.iter().filter(|(b, _)| prev.site_of(*b).is_none()).count() as u64;
-            delta
-        })
+        .map(|(i, w)| classify_pair(&w[0], &w[1], conv::sat_u32(i) + 1, |_| {})) // vp-lint: allow(g1): windows(2) yields exactly two elements.
         .collect()
 }
 
@@ -122,27 +129,24 @@ impl FlipTable {
 /// Attributes every flip across rounds to the origin AS of the flipping
 /// block.
 pub fn flips_by_as(rounds: &[CatchmentMap], world: &Internet) -> FlipTable {
-    let mut flips: BTreeMap<Asn, u64> = BTreeMap::new();
-    let mut blocks: BTreeMap<Asn, BTreeSet<Block24>> = BTreeMap::new();
-    for w in rounds.windows(2) {
-        let (prev, cur) = (&w[0], &w[1]); // vp-lint: allow(g1): windows(2) yields exactly two elements.
-        for (block, site) in prev.iter() {
-            if let Some(s) = cur.site_of(block) {
-                if s != site {
-                    if let Some(info) = world.block(block) {
-                        *flips.entry(info.origin).or_insert(0) += 1;
-                        blocks.entry(info.origin).or_default().insert(block);
-                    }
-                }
+    // Per origin AS: flips, and the distinct blocks that flipped.
+    let mut by_as: BTreeMap<Asn, (u64, BTreeSet<Block24>)> = BTreeMap::new();
+    for (i, w) in rounds.windows(2).enumerate() {
+        // vp-lint: allow(g1): windows(2) yields exactly two elements.
+        classify_pair(&w[0], &w[1], conv::sat_u32(i) + 1, |block| {
+            if let Some(info) = world.block(block) {
+                let (flips, blocks) = by_as.entry(info.origin).or_default();
+                *flips += 1;
+                blocks.insert(block);
             }
-        }
+        });
     }
-    let total_flips: u64 = flips.values().sum();
-    let mut rows: Vec<FlipRow> = flips
+    let total_flips: u64 = by_as.values().map(|(f, _)| f).sum();
+    let mut rows: Vec<FlipRow> = by_as
         .into_iter()
-        .map(|(asn, f)| FlipRow {
+        .map(|(asn, (f, blocks))| FlipRow {
             asn,
-            blocks: blocks[&asn].len() as u64, // vp-lint: allow(g1): every flip ASN was keyed into blocks by the same pass that counted its flips.
+            blocks: blocks.len() as u64,
             flips: f,
             frac: f as f64 / total_flips.max(1) as f64,
         })

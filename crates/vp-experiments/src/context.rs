@@ -6,15 +6,15 @@ use std::path::PathBuf;
 use std::rc::Rc;
 
 use vp_atlas::{AtlasConfig, AtlasPanel, AtlasResult};
-use vp_bgp::Announcement;
+use vp_bgp::{Announcement, FlipModel, RoutingTable};
 use vp_dns::{LoadModel, QueryLog};
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::{SimDuration, SimTime};
-use vp_obs::TraceLevel;
+use vp_obs::{TraceLevel, WallChannel};
 use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario, StaticOracle};
 use vp_topology::TopologyConfig;
 use verfploeter::catchment::CatchmentMap;
-use verfploeter::scan::{run_scan, run_scan_sharded, ScanConfig, ScanResult};
+use verfploeter::scan::{run_scan_sharded, ScanConfig, ScanResult};
 use verfploeter::ProbeConfig;
 
 use crate::obs::{build_report, ObsState, ScanRecord};
@@ -97,9 +97,83 @@ fn scan_shards() -> usize {
 }
 
 const BROOT_TOPO_SEED: u64 = 0xB007;
-pub(crate) const TANGLED_TOPO_SEED: u64 = 0x7A9;
-pub(crate) const POLICY_SEED: u64 = 0x90;
-pub(crate) const FLIP_SEED: u64 = 0xF11;
+const TANGLED_TOPO_SEED: u64 = 0x7A9;
+const POLICY_SEED: u64 = 0x90;
+const FLIP_SEED: u64 = 0xF11;
+
+/// The nine-site Tangled world at `scale`.
+pub(crate) fn tangled_scenario(scale: Scale) -> Scenario {
+    Scenario::tangled(scale.topology(TANGLED_TOPO_SEED), POLICY_SEED)
+}
+
+/// The hitlist every Verfploeter scan of `world` probes.
+pub(crate) fn hitlist_of(world: &vp_topology::Internet) -> Hitlist {
+    Hitlist::from_internet(world, &HitlistConfig::default())
+}
+
+/// The STV-3-23 measurement (§6.3): the Tangled catchment scanned every
+/// 15 minutes with churn and route flips active. Holds the converged
+/// routing table and flip model every round shares; round `r`'s name,
+/// ident, probe order, start time and sim seed are fixed functions of
+/// `r`. `Lab::tangled_rounds` and the live `Daemon` both run their rounds
+/// here, so the offline dataset and the live stream are one measurement.
+pub(crate) struct StvRounds {
+    table: RoutingTable,
+    model: FlipModel,
+}
+
+impl StvRounds {
+    /// Time between round starts (the paper's 96 rounds span 24 hours).
+    pub(crate) const INTERVAL: SimDuration = SimDuration::from_mins(15);
+
+    pub(crate) fn new(scenario: &Scenario) -> StvRounds {
+        let table = scenario.routing();
+        let model = scenario.flip_model(FLIP_SEED, &table);
+        StvRounds { table, model }
+    }
+
+    /// Runs round `r` of the Tangled `scenario` on `shards` engines. The
+    /// result is shard-count-invariant (§7).
+    pub(crate) fn run_round(
+        &self,
+        scenario: &Scenario,
+        hitlist: &Hitlist,
+        r: u32,
+        shards: usize,
+        trace: TraceLevel,
+        wall: Option<WallChannel>,
+    ) -> ScanResult {
+        let config = ScanConfig {
+            name: format!("STV-3-23/r{r}"),
+            probe: ProbeConfig {
+                ident: 100 + r as u16,
+                order_seed: 0x57ab ^ u64::from(r),
+                ..ProbeConfig::default()
+            },
+            trace,
+            wall,
+            ..ScanConfig::default()
+        };
+        run_scan_sharded(
+            &scenario.world,
+            hitlist,
+            &scenario.announcement,
+            &|| {
+                Box::new(FlippingOracle::new(
+                    self.table.clone(),
+                    scenario.world.graph.clone(),
+                    self.model.clone(),
+                    Self::INTERVAL,
+                )) as Box<dyn CatchmentOracle>
+            },
+            FaultConfig::default(),
+            SimTime::ZERO + SimDuration(Self::INTERVAL.0 * u64::from(r)),
+            &config,
+            0x0523 ^ u64::from(r),
+            shards,
+        )
+    }
+}
 
 /// Lazily built, cached experiment artifacts.
 pub struct Lab {
@@ -230,19 +304,15 @@ impl Lab {
 
     /// The nine-site Tangled world.
     pub fn tangled(&self) -> &Scenario {
-        self.tangled
-            .get_or_init(|| Scenario::tangled(self.scale.topology(TANGLED_TOPO_SEED), POLICY_SEED))
+        self.tangled.get_or_init(|| tangled_scenario(self.scale))
     }
 
     pub fn broot_hitlist(&self) -> &Hitlist {
-        self.broot_hitlist
-            .get_or_init(|| Hitlist::from_internet(&self.broot().world, &HitlistConfig::default()))
+        self.broot_hitlist.get_or_init(|| hitlist_of(&self.broot().world))
     }
 
     pub fn tangled_hitlist(&self) -> &Hitlist {
-        self.tangled_hitlist.get_or_init(|| {
-            Hitlist::from_internet(&self.tangled().world, &HitlistConfig::default())
-        })
+        self.tangled_hitlist.get_or_init(|| hitlist_of(&self.tangled().world))
     }
 
     pub fn atlas_broot(&self) -> &AtlasPanel {
@@ -314,14 +384,10 @@ impl Lab {
         let (table, route_obs) = scenario.routing_with_seed_traced(announcement, policy_seed);
         let config = ScanConfig {
             name: key.to_owned(),
-            probe: ProbeConfig {
-                rate_per_sec: 10_000.0,
-                ident,
-                order_seed: 0x0bde ^ ident as u64,
-            },
-            cutoff: SimDuration::from_mins(15),
+            probe: ProbeConfig { ident, order_seed: 0x0bde ^ ident as u64, ..ProbeConfig::default() },
             trace: self.obs,
             wall: self.flight_wall.clone(),
+            ..ScanConfig::default()
         };
         // The sharded path is bit-identical to the serial one (see
         // `verfploeter::scan::run_scan_sharded`), so experiments get the
@@ -426,43 +492,15 @@ impl Lab {
         Rc::clone(self.tangled_rounds.get_or_init(|| {
             let scenario = self.tangled();
             let hitlist = self.tangled_hitlist();
-            let table = scenario.routing();
-            let model = scenario.flip_model(FLIP_SEED, &table);
-            let rounds = self.scale.stability_rounds();
-            let interval = SimDuration::from_mins(15);
-            let mut maps = Vec::with_capacity(rounds as usize);
-            for r in 0..rounds {
-                let oracle = FlippingOracle::new(
-                    table.clone(),
-                    scenario.world.graph.clone(),
-                    model.clone(),
-                    interval,
-                );
-                let start = SimTime::ZERO + SimDuration(interval.0 * r as u64);
-                let config = ScanConfig {
-                    name: format!("STV-3-23/r{r}"),
-                    probe: ProbeConfig {
-                        rate_per_sec: 10_000.0,
-                        ident: 100 + r as u16,
-                        order_seed: 0x57ab ^ r as u64,
-                    },
-                    cutoff: SimDuration::from_mins(15),
-                    trace: self.obs,
-                    wall: self.flight_wall.clone(),
-                };
-                let result = run_scan(
-                    &scenario.world,
-                    hitlist,
-                    &scenario.announcement,
-                    Box::new(oracle),
-                    FaultConfig::default(),
-                    start,
-                    &config,
-                    0x0523 ^ r as u64,
-                );
-                self.record_scan_obs(&config.name, 1, &result, None);
-                maps.push(result.catchments);
-            }
+            let stv = StvRounds::new(scenario);
+            let maps = (0..self.scale.stability_rounds())
+                .map(|r| {
+                    let result =
+                        stv.run_round(scenario, hitlist, r, 1, self.obs, self.flight_wall.clone());
+                    self.record_scan_obs(&result.catchments.name, 1, &result, None);
+                    result.catchments
+                })
+                .collect();
             Rc::new(maps)
         }))
     }

@@ -2,12 +2,12 @@
 //!
 //! [`Daemon`] turns the fig9 stability study into an *operational loop*:
 //! each [`Daemon::run_round`] runs one sharded Verfploeter scan of the
-//! Tangled world (the same STV-3-23 dataset `Lab::tangled_rounds`
-//! produces — same seeds, same flipping oracle, same round names, so the
-//! live stream and the offline batch are byte-comparable), feeds the
-//! catchment map into a `vp_monitor::stream::DriftTracker`, folds the
-//! round's scan metrics into a cumulative registry, and keeps the last
-//! round's flight-recorder profile digest. After any round the daemon can
+//! Tangled world (the STV-3-23 round `Lab::tangled_rounds` runs, from the
+//! one shared round recipe, so the live stream and the offline batch are
+//! byte-comparable), feeds the catchment map into a
+//! `vp_monitor::stream::DriftTracker`, folds the round's scan metrics into
+//! a cumulative registry, and keeps the last round's flight-recorder
+//! profile digest. After any round the daemon can
 //! render its two publication surfaces:
 //!
 //! * [`Daemon::status_doc`] — the canonical `vp-daemon-status/v1` JSON.
@@ -23,19 +23,15 @@
 use std::collections::BTreeMap;
 
 use serde_json::Value;
-use verfploeter::scan::{run_scan_sharded, ScanConfig};
-use verfploeter::ProbeConfig;
-use vp_bgp::{FlipModel, RoutingTable};
-use vp_hitlist::{Hitlist, HitlistConfig};
+use vp_hitlist::Hitlist;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::profile::{profile_channel, ChannelProfile};
 use vp_monitor::stream::{build_scrape, build_status_doc, DaemonMeta, DriftTracker, StreamStep};
-use vp_net::{SimDuration, SimTime};
 use vp_obs::{Registry, TraceLevel};
-use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario};
+use vp_sim::Scenario;
 
-use crate::context::{Scale, FLIP_SEED, POLICY_SEED, TANGLED_TOPO_SEED};
+use crate::context::{hitlist_of, tangled_scenario, Scale, StvRounds};
 
 /// Widest-span list length for the per-round profile digest.
 const PROFILE_TOP_N: usize = 5;
@@ -77,9 +73,7 @@ impl DaemonConfig {
 pub struct Daemon {
     scenario: Scenario,
     hitlist: Hitlist,
-    table: RoutingTable,
-    model: FlipModel,
-    interval: SimDuration,
+    stv: StvRounds,
     shards: usize,
     obs: TraceLevel,
     meta: DaemonMeta,
@@ -94,11 +88,9 @@ impl Daemon {
     /// Builds the world, routing table and flip model once; rounds then
     /// only pay for the scan itself.
     pub fn new(config: &DaemonConfig) -> Daemon {
-        let scenario = Scenario::tangled(config.scale.topology(TANGLED_TOPO_SEED), POLICY_SEED);
-        let hitlist = Hitlist::from_internet(&scenario.world, &HitlistConfig::default());
-        let table = scenario.routing();
-        let model = scenario.flip_model(FLIP_SEED, &table);
-        let interval = SimDuration::from_mins(15);
+        let scenario = tangled_scenario(config.scale);
+        let hitlist = hitlist_of(&scenario.world);
+        let stv = StvRounds::new(&scenario);
         let origins: Origins = scenario
             .world
             .blocks
@@ -115,15 +107,13 @@ impl Daemon {
             source: format!("vp-daemon/{}", config.scale.name()),
             scale: config.scale.name().to_owned(),
             shards: config.shards as u64,
-            interval_ns: interval.0,
+            interval_ns: StvRounds::INTERVAL.0,
             rounds_total: u64::from(config.rounds),
         };
         Daemon {
             scenario,
             hitlist,
-            table,
-            model,
-            interval,
+            stv,
             shards: config.shards.max(1),
             obs: config.obs,
             meta,
@@ -136,45 +126,19 @@ impl Daemon {
     }
 
     /// Runs the next scheduled scan round and streams it into the
-    /// tracker. Round `r` starts at sim time `r * interval` with the same
-    /// seeds and round name `Lab::tangled_rounds` uses, so a daemon run
-    /// of N rounds reproduces the first N STV-3-23 maps exactly — for any
-    /// shard count (§7).
+    /// tracker. Round `r` is the STV-3-23 round `Lab::tangled_rounds`
+    /// runs (one shared recipe), so a daemon run of N rounds reproduces
+    /// the first N STV-3-23 maps exactly — for any shard count (§7).
     pub fn run_round(&mut self) -> StreamStep {
         let r = self.rounds_run;
         self.rounds_run += 1;
-        let start = SimTime::ZERO + SimDuration(self.interval.0 * u64::from(r));
-        let config = ScanConfig {
-            name: format!("STV-3-23/r{r}"),
-            probe: ProbeConfig {
-                rate_per_sec: 10_000.0,
-                ident: 100 + r as u16,
-                order_seed: 0x57ab ^ u64::from(r),
-            },
-            cutoff: SimDuration::from_mins(15),
-            trace: self.obs,
-            wall: None,
-        };
-        let (table, model) = (&self.table, &self.model);
-        let graph = &self.scenario.world.graph;
-        let interval = self.interval;
-        let result = run_scan_sharded(
-            &self.scenario.world,
+        let result = self.stv.run_round(
+            &self.scenario,
             &self.hitlist,
-            &self.scenario.announcement,
-            &|| {
-                Box::new(FlippingOracle::new(
-                    table.clone(),
-                    graph.clone(),
-                    model.clone(),
-                    interval,
-                )) as Box<dyn CatchmentOracle>
-            },
-            FaultConfig::default(),
-            start,
-            &config,
-            0x0523 ^ u64::from(r),
+            r,
             self.shards,
+            self.obs,
+            None,
         );
         let duration = result
             .obs
@@ -188,11 +152,6 @@ impl Daemon {
             Some(profile_channel(&result.obs.flight, PROFILE_TOP_N))
         };
         self.tracker.observe_round(result.catchments, Some(duration))
-    }
-
-    /// Rounds completed so far.
-    pub fn rounds_run(&self) -> u32 {
-        self.rounds_run
     }
 
     pub fn meta(&self) -> &DaemonMeta {

@@ -253,28 +253,6 @@ impl Hitlist {
         shard_bounds_of(self.entries.len(), shards)
     }
 
-    /// The shard (under [`Hitlist::shard_bounds`] with the same `shards`)
-    /// that owns hitlist index `index`.
-    pub fn shard_of(&self, index: usize, shards: usize) -> usize {
-        assert!(shards > 0, "cannot shard into zero parts");
-        assert!(index < self.entries.len(), "index out of range");
-        let n = self.entries.len();
-        let base = n / shards;
-        let rem = n % shards;
-        let big = rem * (base + 1);
-        if index < big {
-            index / (base + 1)
-        } else {
-            rem + (index - big) / base
-        }
-    }
-
-    /// The entries of one shard, as produced by [`Hitlist::shard_bounds`].
-    pub fn shard_entries(&self, shards: usize, shard: usize) -> &[HitlistEntry] {
-        let bounds = self.shard_bounds(shards);
-        &self.entries[bounds[shard].clone()]
-    }
-
     /// Serializes to JSON (one array; stable order).
     pub fn to_json(&self) -> String {
         // vp-lint: allow(h2): serializing owned plain data with derived impls cannot fail.

@@ -148,41 +148,33 @@ impl Graph {
                 // Normalise the call path.
                 let mut path: Vec<String> = call.path.clone();
                 if !call.method {
-                    // `crate::x::f` → caller crate's name; `self::f` →
-                    // caller module; `super::f` → parent module.
-                    match path.first().map(String::as_str) {
-                        Some("crate") => {
-                            path.remove(0);
-                            let mut head = node.info.module.first().cloned();
-                            if node.crate_name.is_empty() {
-                                head = None;
-                            }
-                            if let Some(h) = head {
-                                path.insert(0, h);
-                            }
-                        }
-                        Some("self") => {
-                            path.remove(0);
-                            let mut m = node.info.module.clone();
-                            m.extend(path);
-                            path = m;
-                        }
-                        Some("super") => {
-                            path.remove(0);
-                            let mut m = node.info.module.clone();
-                            m.pop();
-                            m.extend(path);
-                            path = m;
-                        }
-                        _ => {}
-                    }
-                    // Expand the head segment through this file's aliases.
+                    // Expand the head segment through this file's aliases
+                    // first: `use crate::m::f` makes `f()` a `crate::` path.
                     if let Some(first) = path.first().cloned() {
                         if let Some(full) = uses_of.get(node.file.as_str()).and_then(|u| u.get(&first)) {
                             let mut p = full.clone();
                             p.extend(path.into_iter().skip(1));
                             path = p;
                         }
+                    }
+                    // `crate::x::f` → caller crate's name; `self::f` →
+                    // caller module; `super::f` → parent module.
+                    match path.first().map(String::as_str) {
+                        Some("crate") => {
+                            path.remove(0);
+                            if let Some(h) = node.info.module.first().filter(|_| !node.crate_name.is_empty()) {
+                                path.insert(0, h.clone());
+                            }
+                        }
+                        Some(head @ ("self" | "super")) => {
+                            let mut m = node.info.module.clone();
+                            if head == "super" {
+                                m.pop();
+                            }
+                            m.extend(path.drain(1..));
+                            path = m;
+                        }
+                        _ => {}
                     }
                     // Drop leading `std`/`core`/`alloc`: always external.
                     if matches!(
@@ -255,11 +247,6 @@ impl Graph {
         }
 
         g
-    }
-
-    /// Node index by id.
-    pub fn node_by_id(&self, id: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.id == id)
     }
 
     /// Renders the graph in Graphviz DOT form, clustered by crate.

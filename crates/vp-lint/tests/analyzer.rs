@@ -584,6 +584,25 @@ fn g1_reports_cross_file_chain_with_witness() {
 }
 
 #[test]
+fn calls_through_use_crate_imports_get_edges() {
+    // `use crate::b::helper` expands `helper(v)` to a `crate::` path,
+    // which must then normalise to the caller's crate and resolve.
+    let findings = g_eval(&[
+        (
+            "crates/vp-sim/src/a.rs",
+            "use crate::b::helper;\npub fn api(v: &[u64]) -> u64 { helper(v) }\n",
+        ),
+        (
+            "crates/vp-sim/src/b.rs",
+            "fn helper(v: &[u64]) -> u64 { v[0] }\n",
+        ),
+    ]);
+    assert_eq!(findings.len(), 1, "{}", vp_lint::to_text(&findings));
+    assert_eq!(findings[0].rule, RuleId::G1);
+    assert!(findings[0].witness[1].contains("helper"), "{:?}", findings[0].witness);
+}
+
+#[test]
 fn g1_audited_fn_stops_propagation() {
     let findings = g_eval(&[
         (

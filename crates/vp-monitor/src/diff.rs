@@ -1,8 +1,8 @@
 //! The drift diff engine: what changed between consecutive catchment maps.
 //!
-//! Mirrors the paper's §6.3 round classification (stable / flipped /
-//! to-NR / from-NR — the Fig. 9 taxonomy, same semantics as
-//! `verfploeter::stability::classify_rounds`) and extends it with the
+//! Builds on the paper's §6.3 round classification (stable / flipped /
+//! to-NR / from-NR — the Fig. 9 taxonomy, computed by
+//! `verfploeter::stability::classify_pair`) and extends it with the
 //! operator-facing signals the alert evaluator consumes: per-round flip
 //! rate, site load-share deltas, coverage changes, and per-AS flip
 //! attribution (Table 7's view, computed incrementally).
@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 
 use vp_net::{Asn, Block24};
 use verfploeter::catchment::CatchmentMap;
+use verfploeter::stability::classify_pair;
 
 /// Block → origin AS, from the `origins.json` sidecar the fig9 snapshot
 /// writer emits. Without it, per-AS flip attribution is empty.
@@ -65,29 +66,18 @@ pub fn diff_rounds(
     round: u32,
     origins: Option<&Origins>,
 ) -> RoundDiff {
-    let mut stable = 0u64;
-    let mut flipped = 0u64;
-    let mut to_nr = 0u64;
     let mut flips_by_as: BTreeMap<u32, u64> = BTreeMap::new();
-    for (block, site) in prev.iter() {
-        match cur.site_of(block) {
-            Some(s) if s == site => stable += 1,
-            Some(_) => {
-                flipped += 1;
-                if let Some(asn) = origins.and_then(|o| o.get(&block)) {
-                    *flips_by_as.entry(asn.0).or_insert(0) += 1;
-                }
-            }
-            None => to_nr += 1,
+    let delta = classify_pair(prev, cur, round, |block| {
+        if let Some(asn) = origins.and_then(|o| o.get(&block)) {
+            *flips_by_as.entry(asn.0).or_insert(0) += 1;
         }
-    }
-    let from_nr = cur.iter().filter(|(b, _)| prev.site_of(*b).is_none()).count() as u64;
+    });
 
     let prev_blocks = prev.len() as u64;
     let cur_blocks = cur.len() as u64;
     let coverage_delta_permille =
         (cur_blocks as i64 - prev_blocks as i64) * 1000 / (prev_blocks.max(1) as i64);
-    let flip_rate_permille = flipped * 1000 / (stable + flipped).max(1);
+    let flip_rate_permille = delta.flipped * 1000 / (delta.stable + delta.flipped).max(1);
 
     let prev_shares = site_shares(prev);
     let cur_shares = site_shares(cur);
@@ -102,10 +92,10 @@ pub fn diff_rounds(
         round,
         prev_name: prev.name.clone(),
         cur_name: cur.name.clone(),
-        stable,
-        flipped,
-        to_nr,
-        from_nr,
+        stable: delta.stable,
+        flipped: delta.flipped,
+        to_nr: delta.to_nr,
+        from_nr: delta.from_nr,
         prev_blocks,
         cur_blocks,
         coverage_delta_permille,

@@ -90,15 +90,17 @@ pub fn parse_origins(text: &str, what: &str) -> Result<Origins, String> {
     Ok(origins)
 }
 
+/// Loads and parses a `vp-monitor-origins/v1` file.
+pub fn load_origins(path: &Path) -> Result<Origins, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse_origins(&text, &path.display().to_string())
+}
+
 /// Loads the `origins.json` sidecar next to the round files, if present.
 pub fn load_origins_sidecar(dir: &Path) -> Result<Option<Origins>, String> {
     let path = dir.join("origins.json");
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse_origins(&text, &path.display().to_string()).map(Some)
+    path.exists().then(|| load_origins(&path)).transpose()
 }
 
 /// Renders an [`Origins`] map as the canonical `vp-monitor-origins/v1`

@@ -41,7 +41,8 @@ use vp_monitor::alert::AlertConfig;
 use vp_monitor::bench::{build_baseline_doc, check_bench_scaled, parse_baseline, parse_bench_scan};
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
-    list_round_files, load_obs_report, load_origins_sidecar, load_round_file, load_rounds_dir,
+    list_round_files, load_obs_report, load_origins, load_origins_sidecar, load_round_file,
+    load_rounds_dir,
 };
 use vp_monitor::pipeline::run_diff_pipeline;
 use vp_monitor::profile::{parse_flight_doc, render_report};
@@ -133,34 +134,18 @@ fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
     })
 }
 
-/// Loads everything a diff/watch run needs.
-fn load_inputs(
-    args: &DiffArgs,
-) -> Result<
-    (
-        Vec<verfploeter::catchment::CatchmentMap>,
-        Option<Origins>,
-        Option<BTreeMap<u32, u64>>,
-    ),
-    String,
-> {
-    let rounds = load_rounds_dir(&args.rounds)?;
+/// Per-round sim-time scan durations, keyed by round index.
+type Durations = BTreeMap<u32, u64>;
+
+/// Loads the origins and per-round durations a diff/watch run folds its
+/// round files with.
+fn load_sidecars(args: &DiffArgs) -> Result<(Option<Origins>, Option<Durations>), String> {
     let origins = match &args.origins {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            Some(vp_monitor::ingest::parse_origins(
-                &text,
-                &path.display().to_string(),
-            )?)
-        }
+        Some(path) => Some(load_origins(path)?),
         None => load_origins_sidecar(&args.rounds)?,
     };
-    let durations = match &args.obs_report {
-        Some(path) => Some(load_obs_report(path)?.round_durations()),
-        None => None,
-    };
-    Ok((rounds, origins, durations))
+    let report = args.obs_report.as_deref().map(load_obs_report).transpose()?;
+    Ok((origins, report.map(|r| r.round_durations())))
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
@@ -168,7 +153,8 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     if args.follow || args.until_rounds.is_some() {
         return Err("diff runs once over a complete directory; use watch --follow".to_owned());
     }
-    let (rounds, origins, durations) = load_inputs(&args)?;
+    let rounds = load_rounds_dir(&args.rounds)?;
+    let (origins, durations) = load_sidecars(&args)?;
     let out = run_diff_pipeline(
         &args.source,
         &rounds,
@@ -204,21 +190,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         return Err("watch does not write documents; use diff --out".to_owned());
     }
     // Origins and durations load once up front; round files stream.
-    let origins = match &args.origins {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            Some(vp_monitor::ingest::parse_origins(
-                &text,
-                &path.display().to_string(),
-            )?)
-        }
-        None => load_origins_sidecar(&args.rounds)?,
-    };
-    let durations = match &args.obs_report {
-        Some(path) => Some(load_obs_report(path)?.round_durations()),
-        None => None,
-    };
+    let (origins, durations) = load_sidecars(&args)?;
 
     // The same streaming tracker the daemon publishes from, proven
     // byte-equal to the batch pipeline — so plain `watch` prints exactly

@@ -10,8 +10,6 @@
 //! * [`asn`] — Autonomous System numbers ([`Asn`]).
 //! * [`bitset`] — a packed bitset over dense block ids ([`BitSet`]), the
 //!   boolean column type of the columnar scan core.
-//! * [`trie`] — a longest-prefix-match trie ([`trie::PrefixTrie`]) used for
-//!   the Route Views-style prefix → origin-AS table.
 //! * [`perm`] — pseudorandom probe-order permutations (Feistel cycle-walking
 //!   and a full-period LCG for the ablation bench). The paper sends probes in
 //!   pseudorandom order "to spread traffic, limiting traffic to any given
@@ -29,7 +27,6 @@ pub mod error;
 pub mod pacing;
 pub mod perm;
 pub mod time;
-pub mod trie;
 
 pub use addr::{Block24, Ipv4Addr, Prefix};
 pub use asn::Asn;
@@ -38,4 +35,3 @@ pub use error::NetError;
 pub use pacing::TokenBucket;
 pub use perm::{FeistelPermutation, LcgPermutation, ProbeOrder};
 pub use time::{SimDuration, SimTime};
-pub use trie::PrefixTrie;

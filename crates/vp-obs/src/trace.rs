@@ -133,11 +133,6 @@ impl Tracer {
         }
     }
 
-    /// A tracer that records nothing (identity for every operation).
-    pub fn disabled() -> Tracer {
-        Tracer::new(Box::new(SimClock::new()), TraceLevel::Off, 1)
-    }
-
     pub fn level(&self) -> TraceLevel {
         self.inner.borrow().level
     }

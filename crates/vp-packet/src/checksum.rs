@@ -66,7 +66,9 @@ fn sum_words(data: &[u8]) -> u32 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
     for w in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([w[0], w[1]]));
+        if let [hi, lo] = *w {
+            sum += u32::from(u16::from_be_bytes([hi, lo]));
+        }
     }
     if let [last] = chunks.remainder() {
         sum += u32::from(u16::from_be_bytes([*last, 0]));
