@@ -192,6 +192,10 @@ impl ProbeBatch {
     /// §7 keyed fault draws — identical whatever the shard layout.
     /// Responders answer with the precomputed image, so the reply path
     /// allocates nothing per probe.
+    ///
+    /// Pacing is monotone, so every event due before the batch's first
+    /// send is dispatched first: the engine's queue holds one batch plus
+    /// the traffic in flight, never the whole schedule.
     fn flush(
         &mut self,
         prober: &Prober,
@@ -199,6 +203,9 @@ impl ProbeBatch {
         source: vp_net::Ipv4Addr,
         sim: &mut NetworkSim<'_>,
     ) {
+        if let Some(&first) = self.ats.first() {
+            sim.dispatch_before(first);
+        }
         let (packets, images) = (&mut self.packets, &mut self.reply_images);
         prober.build_probes_with_replies(hitlist, &self.indices, source, packets, images);
         for ((packet, image), &at) in packets.drain(..).zip(images.drain(..)).zip(&self.ats) {
@@ -353,9 +360,10 @@ impl Round<'_> {
     /// probe keeps the send time and relative injection order it has in
     /// a one-engine round. It keeps the indices in its contiguous
     /// [`Hitlist::shard_bounds`] range and streams them in
-    /// [`PROBE_BATCH`] bursts into a private simulator, drains the
-    /// simulator, then forwards, cleans (§4) and maps its replies. Send
-    /// times are kept for its own range only.
+    /// [`PROBE_BATCH`] bursts into a private simulator, which dispatches
+    /// what is due before each burst, drains the simulator, then
+    /// forwards, cleans (§4) and maps its replies. Send times are kept
+    /// for its own range only.
     fn scan_engine(
         &self,
         k: usize,
@@ -374,7 +382,8 @@ impl Round<'_> {
         let svc = sim.register_service(self.announcement.clone(), oracle, false);
         let source = self.announcement.measurement_addr();
 
-        // Walk and probe building interleave, so one span covers both.
+        // Walk, probe building and the dispatch of events due before each
+        // batch interleave, so one span covers them all.
         let guard = wall_rec
             .as_ref()
             .map(|r| r.span("scan.probe_build", "probe", shard_id));

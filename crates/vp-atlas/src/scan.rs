@@ -136,6 +136,9 @@ pub fn run_scan(
     };
     for (i, vp) in available.iter().enumerate() {
         let at = start + step.saturating_mul(i as u64);
+        // Send times rise, so the engine only ever queues traffic in
+        // flight (DESIGN.md §7).
+        sim.dispatch_before(at);
         let query = DnsMessage::hostname_bind_query(vp.id as u16, true);
         let udp = UdpDatagram::new(33000 + (vp.id % 16384) as u16, 53, query.emit());
         let pkt = Ipv4Packet::new(vp.addr, anycast, Protocol::Udp, udp.emit(vp.addr, anycast));

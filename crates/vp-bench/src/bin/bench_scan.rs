@@ -19,8 +19,10 @@
 //! the topology generator, and at 10^6 blocks regenerating the world per
 //! rep would dominate the wall clock. The columnar scan core keeps per-rep
 //! memory bounded by the hitlist plus O(hitlist/K) in-flight probe state,
-//! which is what makes `--targets 1000000` a one-machine benchmark; peak
-//! RSS is printed at exit as the boundedness witness.
+//! which is what makes `--targets 1000000` a one-machine benchmark; the
+//! process's peak RSS (`peak_rss_kib`) is recorded in the artifact as the
+//! boundedness witness, next to the host's core count (`nproc`) that the
+//! threaded rows ran on.
 //!
 //! Percentiles are interpolated ([`Histogram::quantile_interpolated`]):
 //! with a single-digit rep count, rank-picking p90 just returns the max —
@@ -331,10 +333,13 @@ fn main() {
         Value::U64(first_scale_targets.unwrap_or(0)),
     );
     doc.insert("series".to_owned(), Value::Array(series));
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    doc.insert("nproc".to_owned(), Value::U64(nproc as u64));
+    if let Some(kib) = peak_rss_kib() {
+        println!("peak RSS {:.1} MiB, nproc {nproc}", kib as f64 / 1024.0);
+        doc.insert("peak_rss_kib".to_owned(), Value::U64(kib));
+    }
     let text = serde_json::to_string_pretty(&Value::Object(doc)).expect("serialize");
     std::fs::write(&out, text).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    if let Some(kib) = peak_rss_kib() {
-        println!("peak RSS {:.1} MiB", kib as f64 / 1024.0);
-    }
     println!("wrote {out}");
 }

@@ -10,8 +10,6 @@
 //! route. Flips happen at PoP granularity so different blocks of an AS
 //! flip at different times, as in the real measurements.
 
-use std::collections::BTreeMap;
-
 use vp_net::Asn;
 use vp_topology::graph::AsGraph;
 use vp_topology::PopId;
@@ -23,8 +21,10 @@ use crate::routing::{mix, unit_hash, RoutingTable};
 #[derive(Debug, Clone)]
 pub struct FlipModel {
     seed: u64,
-    /// Per-AS flip probability per round; ASes not present never flip.
-    flip_prob: BTreeMap<Asn, f64>,
+    /// Per-round flip probability, indexed by ASN; ASes past the end
+    /// never flip. A dense column: the flipping oracle reads it on every
+    /// anycast arrival.
+    flip_prob: Vec<f64>,
 }
 
 impl FlipModel {
@@ -32,14 +32,14 @@ impl FlipModel {
     pub fn stable(seed: u64) -> Self {
         FlipModel {
             seed,
-            flip_prob: BTreeMap::new(),
+            flip_prob: Vec::new(),
         }
     }
 
     /// Declares `asn` flip-prone with the given per-round probability.
     pub fn with_prone_as(mut self, asn: Asn, prob: f64) -> Self {
         assert!((0.0..=1.0).contains(&prob));
-        self.flip_prob.insert(asn, prob);
+        self.set_prob(asn, prob);
         self
     }
 
@@ -75,14 +75,21 @@ impl FlipModel {
                 1..=4 => 0.04,   // the rest of Table 7's top five
                 _ => 0.002,      // thin long tail
             };
-            model.flip_prob.insert(Asn(a as u32), prob);
+            model.set_prob(Asn(a as u32), prob);
         }
         model
     }
 
+    fn set_prob(&mut self, asn: Asn, prob: f64) {
+        if self.flip_prob.len() <= asn.index() {
+            self.flip_prob.resize(asn.index() + 1, 0.0);
+        }
+        self.flip_prob[asn.index()] = prob; // vp-lint: allow(g1): resized to cover asn just above.
+    }
+
     /// The probability configured for `asn` (0 if absent).
     pub fn prob(&self, asn: Asn) -> f64 {
-        self.flip_prob.get(&asn).copied().unwrap_or(0.0)
+        self.flip_prob.get(asn.index()).copied().unwrap_or(0.0)
     }
 
     /// The site traffic from `pop` reaches in measurement round `round`.

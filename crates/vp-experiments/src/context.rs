@@ -4,6 +4,7 @@ use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use vp_atlas::{AtlasConfig, AtlasPanel, AtlasResult};
 use vp_bgp::{Announcement, FlipModel, RoutingTable};
@@ -12,6 +13,7 @@ use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::{SimDuration, SimTime};
 use vp_obs::{TraceLevel, WallChannel};
 use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario, StaticOracle};
+use vp_topology::graph::AsGraph;
 use vp_topology::TopologyConfig;
 use verfploeter::catchment::CatchmentMap;
 use verfploeter::scan::{run_scan_sharded, ScanConfig, ScanResult};
@@ -113,13 +115,15 @@ pub(crate) fn hitlist_of(world: &vp_topology::Internet) -> Hitlist {
 
 /// The STV-3-23 measurement (§6.3): the Tangled catchment scanned every
 /// 15 minutes with churn and route flips active. Holds the converged
-/// routing table and flip model every round shares; round `r`'s name,
+/// routing table, AS graph and flip model every round shares (one copy,
+/// behind [`Arc`]s each engine's oracle points into); round `r`'s name,
 /// ident, probe order, start time and sim seed are fixed functions of
 /// `r`. `Lab::tangled_rounds` and the live `Daemon` both run their rounds
 /// here, so the offline dataset and the live stream are one measurement.
 pub(crate) struct StvRounds {
-    table: RoutingTable,
-    model: FlipModel,
+    table: Arc<RoutingTable>,
+    graph: Arc<AsGraph>,
+    model: Arc<FlipModel>,
 }
 
 impl StvRounds {
@@ -129,7 +133,11 @@ impl StvRounds {
     pub(crate) fn new(scenario: &Scenario) -> StvRounds {
         let table = scenario.routing();
         let model = scenario.flip_model(FLIP_SEED, &table);
-        StvRounds { table, model }
+        StvRounds {
+            table: Arc::new(table),
+            graph: Arc::new(scenario.world.graph.clone()),
+            model: Arc::new(model),
+        }
     }
 
     /// Runs round `r` of the Tangled `scenario` on `shards` engines. The
@@ -159,10 +167,10 @@ impl StvRounds {
             hitlist,
             &scenario.announcement,
             &|| {
-                Box::new(FlippingOracle::new(
-                    self.table.clone(),
-                    scenario.world.graph.clone(),
-                    self.model.clone(),
+                Box::new(FlippingOracle::shared(
+                    Arc::clone(&self.table),
+                    Arc::clone(&self.graph),
+                    Arc::clone(&self.model),
                     Self::INTERVAL,
                 )) as Box<dyn CatchmentOracle>
             },

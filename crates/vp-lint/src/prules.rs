@@ -54,7 +54,16 @@ use crate::rules::{Finding, RuleId, BLESSED_EXECUTOR_FILE};
 /// Crates whose fns can be hot-region members. Everything else (lint,
 /// observability, CLI frontends) is off the per-probe path by
 /// construction.
-pub const P_CRATES: [&str; 5] = ["vp-packet", "vp-net", "vp-hitlist", "vp-sim", "verfploeter"];
+pub const P_CRATES: [&str; 8] = [
+    "vp-packet",
+    "vp-net",
+    "vp-geo",
+    "vp-topology",
+    "vp-bgp",
+    "vp-hitlist",
+    "vp-sim",
+    "verfploeter",
+];
 
 /// The scan inner loops: (impl type, fn name) pairs that root the hot
 /// region even when no executor entry reaches them (the serial path).

@@ -48,6 +48,11 @@ pub struct BenchScanDoc {
     pub run: u64,
     pub targets: u64,
     pub series: Vec<BenchRun>,
+    /// Host core count the run was recorded on; absent in older runs.
+    pub nproc: Option<u64>,
+    /// Peak resident set size of the whole bench process in kiB; absent
+    /// in older runs.
+    pub peak_rss_kib: Option<u64>,
 }
 
 /// The committed baseline: a trajectory of past bench documents.
@@ -102,6 +107,8 @@ fn parse_scan_doc(doc: &Value, what: &str) -> Result<BenchScanDoc, String> {
         run: doc.get("run").and_then(Value::as_u64).unwrap_or(0),
         targets,
         series: parse_series(doc, targets, what)?,
+        nproc: doc.get("nproc").and_then(Value::as_u64),
+        peak_rss_kib: doc.get("peak_rss_kib").and_then(Value::as_u64),
     })
 }
 
@@ -276,6 +283,12 @@ fn run_value(doc: &BenchScanDoc) -> Value {
     );
     obj.insert("run".to_owned(), Value::U64(doc.run));
     obj.insert("targets".to_owned(), Value::U64(doc.targets));
+    if let Some(n) = doc.nproc {
+        obj.insert("nproc".to_owned(), Value::U64(n));
+    }
+    if let Some(kib) = doc.peak_rss_kib {
+        obj.insert("peak_rss_kib".to_owned(), Value::U64(kib));
+    }
     obj.insert(
         "series".to_owned(),
         Value::Array(
@@ -352,6 +365,8 @@ mod tests {
                     max_ns: min_ns + 30,
                 })
                 .collect(),
+            nproc: None,
+            peak_rss_kib: None,
         }
     }
 
@@ -511,7 +526,12 @@ mod tests {
     #[test]
     fn parse_roundtrip_through_baseline_doc() {
         let base = baseline(500, vec![run(1, &[(1, 1000), (2, 600)])]);
-        let appended = run(2, &[(1, 900), (2, 550)]);
+        // Host facts ride along into the trajectory when a run has them.
+        let appended = BenchScanDoc {
+            nproc: Some(2),
+            peak_rss_kib: Some(300_000),
+            ..run(2, &[(1, 900), (2, 550)])
+        };
         let doc = build_baseline_doc(&base, Some(&appended));
         let text = serde_json::to_string_pretty(&doc).unwrap();
         let back = parse_baseline(&text, "test").unwrap();

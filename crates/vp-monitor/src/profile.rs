@@ -3,8 +3,8 @@
 //!
 //! Per channel: self/total time per phase (self = a span's duration minus
 //! its direct children's, by interval containment), per-shard compute
-//! imbalance in permille, a slowest-shard critical-path estimate, and the
-//! top-N widest spans. The sim channel is deterministic (§7 contract); the
+//! imbalance in permille, the critical path (prepass, slowest worker,
+//! merge), and the top-N widest spans. The sim channel is deterministic (§7 contract); the
 //! wall channel is host timing and varies run to run — the report labels
 //! both accordingly.
 
@@ -114,9 +114,13 @@ pub struct ChannelProfile {
     /// `(max - min) * 1000 / max` over shard compute times; `None` with no
     /// shard-attributed spans.
     pub imbalance_permille: Option<u64>,
-    /// Estimated wall time had every shard run as slow as the slowest:
-    /// root − Σ compute + shards · max(compute). Only meaningful for the
-    /// wall channel, where compute overlaps in real time.
+    /// The round's critical path, read off the span structure: the time
+    /// from the root span's start to the first shard's start, plus the
+    /// slowest worker's makespan, plus the time from the last shard's end
+    /// to the root's end (the merge). Shard intervals are clamped into
+    /// the root, so this never exceeds `root_ns`. `None` without a root
+    /// span or shard-attributed spans (the sim channel). Only meaningful
+    /// for the wall channel, where shards overlap in real time.
     pub critical_path_ns: Option<u64>,
     /// The widest spans, duration-descending.
     pub widest: Vec<FlightSpan>,
@@ -137,6 +141,7 @@ pub fn profile_channel(tl: &FlightTimeline, top_n: usize) -> ChannelProfile {
     let mut phases: BTreeMap<String, PhaseRow> = BTreeMap::new();
     let mut shards: BTreeMap<u32, u64> = BTreeMap::new();
     let mut root_ns = 0u64;
+    let mut root: Option<&FlightSpan> = None;
     let mut stack: Vec<(usize, u64)> = Vec::new(); // (span index, children total)
     let mut self_ns = vec![0u64; tl.spans.len()];
 
@@ -168,7 +173,12 @@ pub fn profile_channel(tl: &FlightTimeline, top_n: usize) -> ChannelProfile {
     for (span, &span_self) in tl.spans.iter().zip(self_ns.iter()) {
         let dur = span.duration_ns();
         match span.shard {
-            None => root_ns = root_ns.max(dur),
+            None => {
+                if root.map_or(true, |r| dur > r.duration_ns()) {
+                    root = Some(span);
+                }
+                root_ns = root_ns.max(dur);
+            }
             Some(k) => {
                 // Shard compute: prefer the executor's explicit compute
                 // spans; otherwise any shard-attributed span counts.
@@ -207,14 +217,7 @@ pub fn profile_channel(tl: &FlightTimeline, top_n: usize) -> ChannelProfile {
         let min = shards.iter().map(|&(_, v)| v).min().unwrap_or(0);
         Some((max - min) * 1000 / max.max(1))
     };
-    let critical_path_ns = if shards.is_empty() {
-        None
-    } else {
-        let total: u64 = shards.iter().map(|&(_, v)| v).sum();
-        let max = shards.iter().map(|&(_, v)| v).max().unwrap_or(0);
-        let serialized = max.saturating_mul(shards.len() as u64);
-        Some(root_ns.saturating_sub(total).saturating_add(serialized))
-    };
+    let critical_path_ns = root.and_then(|r| critical_path(&tl.spans, r));
 
     let mut widest: Vec<FlightSpan> = tl.spans.clone();
     widest.sort_by(|a, b| b.duration_ns().cmp(&a.duration_ns()));
@@ -230,6 +233,50 @@ pub fn profile_channel(tl: &FlightTimeline, top_n: usize) -> ChannelProfile {
         critical_path_ns,
         widest,
     }
+}
+
+/// The critical path of a round whose root span is `root`: prepass,
+/// slowest worker, merge (see [`ChannelProfile::critical_path_ns`]).
+///
+/// Each shard is one job spanning its `shard.compute` intervals (or all
+/// its spans, when the executor recorded none), clamped into the root.
+/// The timeline does not say which worker ran which shard, but a
+/// worker's jobs never overlap, so the jobs are packed into chains in
+/// start order, each onto the free chain that finished last (a new chain
+/// when none is free); a chain's makespan runs from its first job's start
+/// to its last job's end.
+fn critical_path(spans: &[FlightSpan], root: &FlightSpan) -> Option<u64> {
+    let (root_start, root_end) = (root.start_ns, root.end_ns.max(root.start_ns));
+    let has_compute = spans.iter().any(|s| s.shard.is_some() && s.name == "shard.compute");
+    let mut jobs: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    for s in spans {
+        let Some(k) = s.shard else { continue };
+        if has_compute && s.name != "shard.compute" {
+            continue;
+        }
+        let start = s.start_ns.clamp(root_start, root_end);
+        let end = s.end_ns.clamp(start, root_end);
+        let job = jobs.entry(k).or_insert((start, end));
+        *job = (job.0.min(start), job.1.max(end));
+    }
+    let mut jobs: Vec<(u64, u64)> = jobs.into_values().collect();
+    jobs.sort_unstable();
+    let first_start = jobs.first()?.0;
+    let last_end = jobs.iter().map(|&(_, end)| end).max()?;
+    // (first start, last end) per chain.
+    let mut chains: Vec<(u64, u64)> = Vec::new();
+    for &(start, end) in &jobs {
+        let free = chains
+            .iter_mut()
+            .filter(|c| c.1 <= start)
+            .max_by_key(|c| c.1);
+        match free {
+            Some(chain) => chain.1 = end,
+            None => chains.push((start, end)),
+        }
+    }
+    let makespan = chains.iter().map(|&(s, e)| e - s).max()?;
+    Some((first_start - root_start) + makespan + (root_end - last_end))
 }
 
 fn ms(ns: u64) -> String {
@@ -270,7 +317,7 @@ fn render_channel(out: &mut String, label: &str, contract: &str, tl: &FlightTime
             let _ = writeln!(out, "  imbalance {imb} permille (max-min over max)");
         }
         if let Some(cp) = p.critical_path_ns {
-            let _ = writeln!(out, "  critical path (slowest-shard estimate) {}", ms(cp));
+            let _ = writeln!(out, "  critical path (prepass + slowest worker + merge) {}", ms(cp));
         }
     }
     let _ = writeln!(out, "  widest spans:");
@@ -372,10 +419,35 @@ mod tests {
         let p = profile_channel(&tl, 5);
         assert_eq!(p.shards, vec![(0, 40), (1, 20)]);
         assert_eq!(p.imbalance_permille, Some(500));
-        // root 100 − Σcompute 60 + 2·max 80 = 120.
-        assert_eq!(p.critical_path_ns, Some(120));
+        // Prepass 10 + slowest worker 40 + merge 50: the whole round.
+        assert_eq!(p.critical_path_ns, Some(100));
         assert_eq!(p.widest[0].name, "scan.round");
         assert_eq!(p.widest.len(), 4);
+    }
+
+    #[test]
+    fn critical_path_follows_the_slowest_worker_chain() {
+        // Two workers, four shards: worker A runs shards 0 and 2 back to
+        // back, worker B starts late and runs shards 1 and 3.
+        let tl = FlightTimeline::from_spans(
+            vec![
+                span("scan.round", "round", None, 0, 100),
+                span("shard.compute", "exec", Some(0), 10, 30),
+                span("shard.compute", "exec", Some(1), 20, 50),
+                span("shard.compute", "exec", Some(2), 30, 60),
+                span("shard.compute", "exec", Some(3), 50, 70),
+                span("scan.merge", "merge", None, 70, 95),
+            ],
+            0,
+        );
+        let p = profile_channel(&tl, 5);
+        // Prepass 10 + worker B's 50 (20..70) + merge 30 (70..100) = 90:
+        // the idle 10 before worker B starts is off the path.
+        assert_eq!(p.critical_path_ns, Some(90));
+        // No root span, no critical path.
+        let shards_only =
+            FlightTimeline::from_spans(tl.spans.iter().filter(|s| s.shard.is_some()).cloned().collect(), 0);
+        assert_eq!(profile_channel(&shards_only, 5).critical_path_ns, None);
     }
 
     #[test]

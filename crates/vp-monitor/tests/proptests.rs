@@ -236,3 +236,34 @@ proptest! {
         prop_assert_eq!(&coverage, whole.coverage_window());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The profiler's critical path never exceeds the round it describes,
+    /// however the shard spans sit relative to the root.
+    #[test]
+    fn critical_path_never_exceeds_the_root(
+        spans in prop::collection::vec(
+            // Shard codes 6 and 7 are orchestrator spans (no shard).
+            (0usize..4, 0u32..8, 0u64..1_000, 0u64..600),
+            1..24,
+        ),
+    ) {
+        const NAMES: [&str; 4] = ["scan.round", "shard.compute", "scan.probe_build", "scan.merge"];
+        let spans: Vec<vp_obs::FlightSpan> = spans
+            .into_iter()
+            .map(|(name, shard, start, len)| vp_obs::FlightSpan {
+                name: NAMES[name].to_owned(),
+                phase: "p".to_owned(),
+                shard: (shard < 6).then_some(shard),
+                start_ns: start,
+                end_ns: start + len,
+            })
+            .collect();
+        let p = vp_monitor::profile::profile_channel(&vp_obs::FlightTimeline::from_spans(spans, 0), 4);
+        if let Some(cp) = p.critical_path_ns {
+            prop_assert!(cp <= p.root_ns, "critical path {} > root {}", cp, p.root_ns);
+        }
+    }
+}

@@ -1,6 +1,7 @@
 //! The discrete-event engine: packet delivery, host behaviours, captures.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use rand::SeedableRng;
@@ -160,21 +161,41 @@ enum Target {
     Host { block_idx: u32 },
 }
 
+/// Which side of the event loop pushed an event. Application sends (and
+/// the backscatter they spawn) are `Injected`; traffic pushed while an
+/// event is being dispatched is `Dispatched`. At equal arrival times
+/// injected events go first: the order of an inject-everything-then-run
+/// engine, which streamed injection ([`NetworkSim::dispatch_before`])
+/// must reproduce exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    Injected,
+    Dispatched,
+}
+
 struct Scheduled {
     at: SimTime,
+    phase: Phase,
+    /// Push order within `phase`.
     seq: u64,
     packet: Ipv4Packet,
     target: Target,
     /// Precomputed echo-reply wire image riding along with a probe
     /// (see [`NetworkSim::send_probe_at`]); `None` for all other traffic.
-    /// Never part of the event identity: ordering and fault draws key on
-    /// `(at, seq)` and the packet content alone.
+    /// Never part of the event identity: ordering keys on
+    /// `(at, phase, seq)` and fault draws on the packet content alone.
     reply_image: Option<bytes::Bytes>,
+}
+
+impl Scheduled {
+    fn key(&self) -> (SimTime, Phase, u64) {
+        (self.at, self.phase, self.seq)
+    }
 }
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for Scheduled {}
@@ -185,7 +206,7 @@ impl PartialOrd for Scheduled {
 }
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -193,9 +214,13 @@ impl Ord for Scheduled {
 ///
 /// Applications inject packets with [`NetworkSim::send_at`]; [`run`]
 /// processes the event queue to completion; results are read from
-/// [`captures`], [`host_deliveries`] and [`stats`].
+/// [`captures`], [`host_deliveries`] and [`stats`]. A sender whose send
+/// times never decrease may interleave its sends with
+/// [`dispatch_before`], so the queue holds only traffic in flight; the
+/// dispatch order is the same as injecting everything before [`run`].
 ///
 /// [`run`]: NetworkSim::run
+/// [`dispatch_before`]: NetworkSim::dispatch_before
 /// [`captures`]: NetworkSim::captures
 /// [`host_deliveries`]: NetworkSim::host_deliveries
 /// [`stats`]: NetworkSim::stats
@@ -207,8 +232,17 @@ pub struct NetworkSim<'w> {
     rng: Pcg64,
     seed: u64,
     queue: BinaryHeap<Reverse<Scheduled>>,
-    seq: u64,
+    /// Push counters of the two [`Phase`]s.
+    injected_seq: u64,
+    dispatched_seq: u64,
+    /// The last `t` given to [`NetworkSim::dispatch_before`]; later sends
+    /// may not be earlier.
+    horizon: SimTime,
     now: SimTime,
+    /// Events dispatched, and the first one's time, since the last
+    /// [`NetworkSim::run`] reported them.
+    dispatched: u64,
+    first_at: Option<SimTime>,
     host_deliveries: Vec<HostDelivery>,
     stats: SimStats,
     obs: Option<EngineObs>,
@@ -255,8 +289,12 @@ impl<'w> NetworkSim<'w> {
             rng: Pcg64::seed_from_u64(derive_shard_seed(seed, shard_index) ^ 0x51e7_0a11),
             seed,
             queue: BinaryHeap::with_capacity(EVENT_QUEUE_SEED_CAPACITY),
-            seq: 0,
+            injected_seq: 0,
+            dispatched_seq: 0,
+            horizon: SimTime::ZERO,
             now: SimTime::ZERO,
+            dispatched: 0,
+            first_at: None,
             host_deliveries: Vec::new(),
             stats: SimStats::default(),
             obs: None,
@@ -329,8 +367,7 @@ impl<'w> NetworkSim<'w> {
     /// resolved through the sender's catchment), to a populated block's
     /// representative host, or dropped as undeliverable.
     pub fn send_at(&mut self, at: SimTime, packet: Ipv4Packet) {
-        self.stats.injected += 1;
-        self.transmit(at, packet, true, 0, None);
+        self.inject(at, packet, None);
     }
 
     /// [`send_at`] for probes carrying a precomputed echo-reply wire
@@ -345,8 +382,17 @@ impl<'w> NetworkSim<'w> {
     ///
     /// [`send_at`]: NetworkSim::send_at
     pub fn send_probe_at(&mut self, at: SimTime, packet: Ipv4Packet, reply_image: bytes::Bytes) {
+        self.inject(at, packet, Some(reply_image));
+    }
+
+    fn inject(&mut self, at: SimTime, packet: Ipv4Packet, reply_image: Option<bytes::Bytes>) {
+        debug_assert!(
+            at >= self.horizon,
+            "send at {at:?} is earlier than an already dispatched horizon {:?}",
+            self.horizon
+        );
         self.stats.injected += 1;
-        self.transmit(at, packet, true, 0, Some(reply_image));
+        self.transmit(at, packet, Phase::Injected, true, 0, reply_image);
     }
 
     /// `copy` distinguishes otherwise-identical transmissions (duplicate
@@ -355,6 +401,7 @@ impl<'w> NetworkSim<'w> {
         &mut self,
         at: SimTime,
         packet: Ipv4Packet,
+        phase: Phase,
         may_spawn_unsolicited: bool,
         copy: u32,
         reply_image: Option<bytes::Bytes>,
@@ -379,7 +426,7 @@ impl<'w> NetworkSim<'w> {
             self.spawn_unsolicited(at, packet.src, ek);
         }
 
-        let Some(target) = self.resolve(&packet, at) else {
+        let Some((target, src_idx)) = self.resolve(&packet, at) else {
             self.stats.undeliverable += 1;
             if let Some(obs) = &self.obs {
                 if obs.tracer.is_full() {
@@ -390,11 +437,16 @@ impl<'w> NetworkSim<'w> {
             }
             return;
         };
-        let delay = self.delay_for(&packet, &target, ek);
-        self.seq += 1;
+        let delay = self.delay_for(&packet, &target, src_idx, ek);
+        let seq = match phase {
+            Phase::Injected => &mut self.injected_seq,
+            Phase::Dispatched => &mut self.dispatched_seq,
+        };
+        *seq += 1;
         self.queue.push(Reverse(Scheduled {
             at: at + delay,
-            seq: self.seq,
+            phase,
+            seq: *seq,
             packet,
             target,
             reply_image,
@@ -407,38 +459,48 @@ impl<'w> NetworkSim<'w> {
             .position(|s| s.announcement.prefix.contains(addr))
     }
 
-    fn resolve(&self, packet: &Ipv4Packet, at: SimTime) -> Option<Target> {
+    /// The packet's target, plus the sender's position in
+    /// [`Internet::blocks`] when routing had to look it up — the one block
+    /// search per packet, reused by [`NetworkSim::delay_for`].
+    fn resolve(&self, packet: &Ipv4Packet, at: SimTime) -> Option<(Target, Option<u32>)> {
         if let Some(service) = self.service_of(packet.dst) {
             // Anycast-bound: the *sender's* catchment decides the site.
-            let info = self.world.block(packet.src.block())?;
+            let src_idx = self.world.block_idx(packet.src.block())?;
+            let info = &self.world.blocks[conv::index(src_idx)]; // vp-lint: allow(g1): block_idx returns positions in this same blocks vec.
             let site = self.services[service].oracle.site_of_block(info, at)?; // vp-lint: allow(g1): service is a position returned by service_of over this same services vec.
-            return Some(Target::Site { service, site });
+            return Some((Target::Site { service, site }, Some(src_idx)));
         }
         let idx = self.world.block_idx(packet.dst.block())?;
         let info = &self.world.blocks[conv::index(idx)]; // vp-lint: allow(g1): block_idx returns positions in this same blocks vec.
         if packet.dst == info.representative() {
-            return Some(Target::Host { block_idx: idx });
+            return Some((Target::Host { block_idx: idx }, None));
         }
         None
     }
 
-    // vp-lint: allow(g1): service/site/pop/block ids are minted by the world and services this engine owns.
-    fn delay_for(&self, packet: &Ipv4Packet, target: &Target, ek: u64) -> vp_net::SimDuration {
-        let from = self.loc_of_addr(packet.src);
+    // vp-lint: allow(g1): service/site/pop ids are minted by the world and services this engine owns.
+    fn delay_for(
+        &self,
+        packet: &Ipv4Packet,
+        target: &Target,
+        src_idx: Option<u32>,
+        ek: u64,
+    ) -> vp_net::SimDuration {
+        let from = self.loc_of_addr(packet.src, src_idx);
         let to = match target {
             Target::Site { service, site } => {
                 let s = &self.services[*service].announcement.sites[site.index()];
                 let pop = &self.world.graph.pops[s.pop.index()];
                 (pop.lat, pop.lon)
             }
-            Target::Host { block_idx } => {
-                self.loc_of_block(&self.world.blocks[conv::index(*block_idx)])
-            }
+            Target::Host { block_idx } => self.world.block_location(*block_idx),
         };
         self.latency.delay(from, to, mix(self.seed ^ TAG_JITTER, ek))
     }
 
-    fn loc_of_addr(&self, addr: Ipv4Addr) -> (f64, f64) {
+    /// Where `addr` sends from; `block_idx` is its block's position when
+    /// the caller already looked it up.
+    fn loc_of_addr(&self, addr: Ipv4Addr, block_idx: Option<u32>) -> (f64, f64) {
         if let Some(service) = self.service_of(addr) {
             // Measurement traffic originates "from the anycast system";
             // physically we charge it to the first site's PoP.
@@ -446,18 +508,9 @@ impl<'w> NetworkSim<'w> {
             let pop = &self.world.graph.pops[s.pop.index()];
             return (pop.lat, pop.lon);
         }
-        match self.world.block(addr.block()) {
-            Some(info) => self.loc_of_block(info),
+        match block_idx.or_else(|| self.world.block_idx(addr.block())) {
+            Some(idx) => self.world.block_location(idx),
             None => (0.0, 0.0),
-        }
-    }
-
-    fn loc_of_block(&self, info: &BlockInfo) -> (f64, f64) {
-        if let Some(loc) = self.world.geodb.locate(info.block) {
-            (loc.lat, loc.lon)
-        } else {
-            let pop = &self.world.graph.pops[info.pop.index()];
-            (pop.lat, pop.lon)
         }
     }
 
@@ -488,35 +541,59 @@ impl<'w> NetworkSim<'w> {
         };
         let pkt = Ipv4Packet::new(src, toward, Protocol::Icmp, icmp.emit());
         self.stats.unsolicited += 1;
-        self.transmit(at, pkt, false, 0, None);
+        self.transmit(at, pkt, Phase::Injected, false, 0, None);
+    }
+
+    /// Dispatches every queued event that arrives before `t`. A paced
+    /// sender calls this before injecting sends at `t` or later, so the
+    /// queue holds only traffic in flight; the events and their order
+    /// are those of injecting everything first and calling
+    /// [`NetworkSim::run`]. Later sends must not be earlier than `t`
+    /// (checked in debug builds).
+    pub fn dispatch_before(&mut self, t: SimTime) {
+        debug_assert!(t >= self.horizon, "dispatch horizon moved back to {t:?}");
+        self.horizon = t;
+        loop {
+            let Some(head) = self.queue.peek_mut() else { break };
+            if head.0.at >= t {
+                break;
+            }
+            let Reverse(ev) = PeekMut::pop(head);
+            self.dispatch(ev);
+        }
     }
 
     /// Processes the event queue to completion.
     pub fn run(&mut self) {
-        let mut dispatched = 0u64;
-        let mut first_at: Option<SimTime> = None;
         while let Some(Reverse(ev)) = self.queue.pop() {
-            self.now = ev.at;
-            if let Some(obs) = &self.obs {
-                obs.clock.set(ev.at.as_nanos());
-            }
-            dispatched += 1;
-            first_at.get_or_insert(ev.at);
-            match ev.target {
-                Target::Site { service, site } => self.arrive_at_site(service, site, ev),
-                Target::Host { block_idx } => self.arrive_at_host(block_idx, ev),
-            }
+            self.dispatch(ev);
         }
+        let dispatched = std::mem::take(&mut self.dispatched);
+        let first_at = self.first_at.take();
         if let Some(obs) = &mut self.obs {
-            // Events dispatched is conserved across sharding (each event
-            // belongs to exactly one shard), so summed shard registries
-            // match the serial engine's.
+            // Events dispatched (here and by `dispatch_before` since the
+            // last run) is conserved across sharding (each event belongs
+            // to exactly one shard), so summed shard registries match the
+            // serial engine's.
             obs.registry.counter_add("engine.events", &[], dispatched);
             if let Some(first) = first_at {
                 // The whole-run phase span, in sim-time: first event to last.
                 obs.tracer
                     .record_span("engine.run", first.as_nanos(), self.now.as_nanos());
             }
+        }
+    }
+
+    fn dispatch(&mut self, ev: Scheduled) {
+        self.now = ev.at;
+        if let Some(obs) = &self.obs {
+            obs.clock.set(ev.at.as_nanos());
+        }
+        self.dispatched += 1;
+        self.first_at.get_or_insert(ev.at);
+        match ev.target {
+            Target::Site { service, site } => self.arrive_at_site(service, site, ev),
+            Target::Host { block_idx } => self.arrive_at_host(block_idx, ev),
         }
     }
 
@@ -544,7 +621,7 @@ impl<'w> NetworkSim<'w> {
                 if let Ok(msg) = IcmpMessage::parse_view(&packet.payload) {
                     if let Some(reply) = msg.reply() {
                         let out = Ipv4Packet::new(packet.dst, packet.src, Protocol::Icmp, reply.emit());
-                        self.transmit(at, out, false, 0, None);
+                        self.transmit(at, out, Phase::Dispatched, false, 0, None);
                     }
                 }
             }
@@ -569,7 +646,7 @@ impl<'w> NetworkSim<'w> {
                     Protocol::Udp,
                     out_udp.emit(packet.dst, packet.src),
                 );
-                self.transmit(at, out, false, 0, None);
+                self.transmit(at, out, Phase::Dispatched, false, 0, None);
             }
             Protocol::Other(_) => {}
         }
@@ -656,7 +733,7 @@ impl<'w> NetworkSim<'w> {
                     payload,
                 };
                 for copy in 0..copies {
-                    self.transmit(when, out.clone(), false, copy, None);
+                    self.transmit(when, out.clone(), Phase::Dispatched, false, copy, None);
                 }
                 return;
             }
@@ -985,6 +1062,109 @@ mod tests {
         // The unsolicited source is random; it may or may not route (its
         // block always exists), so at most one capture, usually one.
         assert!(sim.captures(svc).len() <= 1);
+    }
+
+    /// Late replies wait this long before they leave (see
+    /// [`tie_heavy_schedule`]).
+    const LATE: SimDuration = SimDuration::from_millis(100);
+
+    /// A paced, tie-heavy send schedule over a world whose blocks all sit
+    /// at their PoP: probes from `meas` to every responsive block in turn,
+    /// one slot per 200 µs, plus echo traffic among three blocks homed on
+    /// one PoP. Co-located hops take exactly the latency floor, and with
+    /// every reply [`LATE`], the reply to a request `a` → `b` sent at `t`
+    /// reaches `a` at `t + 2·floor + LATE` — the instant a packet injected
+    /// toward `a` at `t + floor + LATE` arrives. The reply is pushed while
+    /// the request is dispatched, long before that packet is injected, so
+    /// a streamed engine holds the two in the opposite push order of an
+    /// inject-everything engine: their host-delivery order is decided by
+    /// the phase tie-break alone.
+    fn tie_heavy_schedule(w: &Internet, meas: Ipv4Addr, slots: u64) -> Vec<(SimTime, Ipv4Packet)> {
+        let responsive: Vec<&BlockInfo> = w.responsive_blocks().collect();
+        let mut by_pop: std::collections::BTreeMap<u32, Vec<Ipv4Addr>> = Default::default();
+        for b in &responsive {
+            by_pop.entry(b.pop.0).or_default().push(b.representative());
+        }
+        let hosts = by_pop.into_values().max_by_key(Vec::len).unwrap();
+        assert!(hosts.len() >= 3, "need three co-located responsive blocks");
+        let (a, b, c) = (hosts[0], hosts[1], hosts[2]);
+        let slot = 200_000;
+        let floor = LatencyModel::default().base;
+        let lag = (floor + LATE).as_nanos() / slot;
+        assert_eq!(lag * slot, (floor + LATE).as_nanos(), "the tie needs slot-aligned delays");
+        let mut sends = Vec::new();
+        for i in 0..slots {
+            let at = SimTime(i * slot);
+            let dst = responsive[i as usize % responsive.len()].representative();
+            sends.push((at, probe(meas, dst, 7, i as u16)));
+            if i % 3 == 0 {
+                sends.push((at, probe(a, b, 9, i as u16)));
+            }
+            if i >= lag && (i - lag) % 3 == 0 {
+                let icmp = IcmpMessage::EchoReply { ident: 11, seq: i as u16, payload: Bytes::new() };
+                sends.push((at, Ipv4Packet::new(c, a, Protocol::Icmp, icmp.emit())));
+            }
+        }
+        sends
+    }
+
+    type Observed = (Vec<(u8, u64, Ipv4Packet)>, Vec<(u64, Ipv4Packet)>, SimStats);
+
+    fn observe(sim: &NetworkSim<'_>, svc: ServiceHandle) -> Observed {
+        let caps = sim.captures(svc).iter().map(|c| (c.site.0, c.at.0, c.packet.clone())).collect();
+        let hosts = sim.host_deliveries().iter().map(|d| (d.at.0, d.packet.clone())).collect();
+        (caps, hosts, sim.stats())
+    }
+
+    #[test]
+    fn streamed_injection_dispatches_like_inject_all_then_run() {
+        let w = Internet::generate(TopologyConfig {
+            unlocatable_fraction: 1.0,
+            ..TopologyConfig::tiny(99)
+        });
+        let (ann, oracle) = service(&w);
+        let meas = ann.measurement_addr();
+        let sends = tie_heavy_schedule(&w, meas, 20_000);
+        let engine = || {
+            let faults = FaultConfig { late_prob: 1.0, late_delay: LATE, ..FaultConfig::default() };
+            let mut sim = NetworkSim::new(&w, faults, 21);
+            sim.attach_obs(vp_obs::TraceLevel::Summary);
+            let svc = sim.register_service(ann.clone(), Box::new(oracle.clone()), false);
+            (sim, svc)
+        };
+
+        let (mut all, svc) = engine();
+        for (at, packet) in &sends {
+            all.send_at(*at, packet.clone());
+        }
+        let inject_all_peak = all.queue.len();
+        all.run();
+
+        // The scan's shape: dispatch what is due, then inject a batch.
+        let (mut streamed, svc2) = engine();
+        let mut peak = 0;
+        for batch in sends.chunks(1024) {
+            streamed.dispatch_before(batch[0].0);
+            for (at, packet) in batch {
+                streamed.send_at(*at, packet.clone());
+            }
+            peak = peak.max(streamed.queue.len());
+        }
+        streamed.run();
+
+        assert!(inject_all_peak > 20_000, "inject-all holds the whole schedule");
+        assert!(peak < 3_000, "streamed queue peaked at {peak} events");
+        let (want, got) = (observe(&all, svc), observe(&streamed, svc2));
+        assert!(want.1.len() > 1_000, "the schedule must produce host deliveries");
+        assert_eq!(got.0, want.0, "captures differ");
+        assert_eq!(got.1, want.1, "host deliveries differ");
+        assert_eq!(got.2, want.2, "stats differ");
+        assert_eq!(streamed.now(), all.now());
+        // `engine.events` and the `engine.run` span count the events
+        // dispatched early too.
+        let (a, b) = (all.take_obs().unwrap(), streamed.take_obs().unwrap());
+        assert_eq!(a.registry.to_canonical_json(), b.registry.to_canonical_json());
+        assert_eq!(a.tracer.drain().to_canonical_json(), b.tracer.drain().to_canonical_json());
     }
 
     #[test]

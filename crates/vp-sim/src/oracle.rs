@@ -54,11 +54,16 @@ impl CatchmentOracle for StaticOracle {
 }
 
 /// An oracle whose choice may flip between measurement rounds.
+///
+/// Table, graph and flip model sit behind [`Arc`]s for the same reason as
+/// [`StaticOracle`]'s table: every engine of every round gets its own
+/// boxed oracle, and [`FlippingOracle::shared`] makes that a refcount
+/// bump instead of three deep clones.
 #[derive(Debug, Clone)]
 pub struct FlippingOracle {
-    table: RoutingTable,
-    graph: AsGraph,
-    model: FlipModel,
+    table: Arc<RoutingTable>,
+    graph: Arc<AsGraph>,
+    model: Arc<FlipModel>,
     round: SimDuration,
 }
 
@@ -69,6 +74,16 @@ impl FlippingOracle {
         table: RoutingTable,
         graph: AsGraph,
         model: FlipModel,
+        round: SimDuration,
+    ) -> Self {
+        Self::shared(Arc::new(table), Arc::new(graph), Arc::new(model), round)
+    }
+
+    /// Builds an oracle over already-shared inputs without copying them.
+    pub fn shared(
+        table: Arc<RoutingTable>,
+        graph: Arc<AsGraph>,
+        model: Arc<FlipModel>,
         round: SimDuration,
     ) -> Self {
         assert!(round > SimDuration::ZERO, "round must be positive");

@@ -106,6 +106,97 @@ proptest! {
     }
 }
 
+/// Three responsive blocks homed on one PoP of a world whose blocks all
+/// sit at their PoP: every hop among them takes exactly the latency floor.
+fn co_located(s: &Scenario) -> (Ipv4Addr, Ipv4Addr, Ipv4Addr) {
+    let mut by_pop: std::collections::BTreeMap<u32, Vec<Ipv4Addr>> = Default::default();
+    for b in s.world.responsive_blocks() {
+        by_pop.entry(b.pop.0).or_default().push(b.representative());
+    }
+    let hosts = by_pop.into_values().max_by_key(Vec::len).unwrap_or_default();
+    assert!(hosts.len() >= 3, "need three co-located responsive blocks");
+    (hosts[0], hosts[1], hosts[2])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Streaming sends through `dispatch_before` at random cut points
+    /// dispatches exactly what injecting everything and then `run` does.
+    /// Sends land on 1 ms slots, so many share a send time; with every
+    /// reply late by a whole number of slots, the late reply to a request
+    /// `a` → `b` reaches `a` at the instant a packet injected toward `a`
+    /// later does. A cut between the two makes the engine push the reply
+    /// first, and only the injected-before-dispatched tie-break restores
+    /// the inject-all order.
+    #[test]
+    fn streamed_dispatch_matches_inject_all(
+        world_seed in 0u64..3000,
+        late_ms in 1u64..40,
+        sends in prop::collection::vec((0u64..300, 0u8..3, any::<bool>()), 1..400),
+    ) {
+        let s = Scenario::broot(
+            TopologyConfig { unlocatable_fraction: 1.0, ..TopologyConfig::tiny(world_seed) },
+            7,
+        );
+        let (a, b, c) = co_located(&s);
+        let meas = s.announcement.measurement_addr();
+        let responsive: Vec<Ipv4Addr> =
+            s.world.responsive_blocks().map(|b| b.representative()).collect();
+        let ms = vp_net::SimDuration::from_millis(1).as_nanos();
+        // kind 0: a probe; 1: a request `a` → `b`; 2: the request plus the
+        // packet toward `a` that ties with its late reply. The flag marks a
+        // cut before the send.
+        let mut schedule: Vec<(SimTime, Ipv4Packet, bool)> = Vec::new();
+        for (i, &(slot, kind, cut)) in sends.iter().enumerate() {
+            let at = SimTime(slot * ms);
+            let seq = i as u16;
+            match kind {
+                0 => schedule.push((at, probe(meas, responsive[i % responsive.len()], 1, seq), cut)),
+                _ => {
+                    schedule.push((at, probe(a, b, 2, seq), cut));
+                    if kind == 2 {
+                        let lag = SimTime(at.0 + 2 * ms + late_ms * ms);
+                        let icmp = IcmpMessage::EchoReply { ident: 3, seq, payload: Bytes::new() };
+                        schedule.push((lag, Ipv4Packet::new(c, a, Protocol::Icmp, icmp.emit()), cut));
+                    }
+                }
+            }
+        }
+        schedule.sort_by_key(|&(at, _, _)| at);
+        let faults = FaultConfig {
+            late_prob: 1.0,
+            late_delay: vp_net::SimDuration::from_millis(late_ms),
+            ..FaultConfig::default()
+        };
+        let run = |stream: bool| {
+            let mut sim = NetworkSim::new(&s.world, faults.clone(), 5);
+            let svc = sim.register_service(
+                s.announcement.clone(),
+                Box::new(StaticOracle::new(s.routing())),
+                false,
+            );
+            for (at, packet, cut) in &schedule {
+                if stream && *cut {
+                    sim.dispatch_before(*at);
+                }
+                sim.send_at(*at, packet.clone());
+            }
+            sim.run();
+            let caps: Vec<(u8, u64, Ipv4Packet)> =
+                sim.captures(svc).iter().map(|c| (c.site.0, c.at.0, c.packet.clone())).collect();
+            let hosts: Vec<(u64, Ipv4Packet)> =
+                sim.host_deliveries().iter().map(|d| (d.at.0, d.packet.clone())).collect();
+            (caps, hosts, sim.stats(), sim.now())
+        };
+        let (want, got) = (run(false), run(true));
+        prop_assert_eq!(got.0, want.0, "captures differ");
+        prop_assert_eq!(got.1, want.1, "host deliveries differ");
+        prop_assert_eq!(got.2, want.2, "stats differ");
+        prop_assert_eq!(got.3, want.3, "final clocks differ");
+    }
+}
+
 #[test]
 fn service_registration_order_is_stable() {
     let s = scenario(1);

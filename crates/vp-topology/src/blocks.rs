@@ -38,7 +38,8 @@ impl BlockInfo {
     }
 }
 
-/// Generates the block attribute table and the geolocation database.
+/// Generates the block attribute table, the geolocation database and the
+/// per-block location column.
 ///
 /// Blocks are homed on a PoP of their origin AS (uniformly), geolocated
 /// near that PoP, marked responsive with the configured probability, and
@@ -46,14 +47,21 @@ impl BlockInfo {
 /// concentration: a small share of blocks in concentration-heavy countries
 /// carries most of that country's queries (§5.4: "load seems to concentrate
 /// traffic in fewer hotspots").
+///
+/// The location column is parallel to the block table: entry `i` is the
+/// `(lat, lon)` of `blocks[i]` — its geodb location, or its PoP's when the
+/// block is unlocatable. The simulator's latency model reads it on every
+/// packet, so it is filled here, where each location is drawn, instead of
+/// by a second pass of geodb lookups.
 pub fn generate_blocks(
     graph: &AsGraph,
     prefixes: &[PrefixInfo],
     cfg: &TopologyConfig,
     rng: &mut Pcg64,
-) -> (Vec<BlockInfo>, GeoDb) {
+) -> (Vec<BlockInfo>, GeoDb, Vec<(f64, f64)>) {
     let mut blocks = Vec::new();
     let mut geodb = GeoDb::new();
+    let mut locations = Vec::new();
     'outer: for (idx, info) in prefixes.iter().enumerate() {
         for block in crate::prefixes::populate_blocks(info, cfg, rng) {
             if blocks.len() >= cfg.max_blocks {
@@ -103,7 +111,9 @@ pub fn generate_blocks(
                     .clamp(0.0, 1.0)
             };
             let responsive = rng.gen_bool((base * regional).min(1.0));
-            if !rng.gen_bool(cfg.unlocatable_fraction) {
+            if rng.gen_bool(cfg.unlocatable_fraction) {
+                locations.push((pop_info.lat, pop_info.lon));
+            } else {
                 let (lat, lon) = pop_info.country.get().sample_location(rng);
                 geodb.insert(
                     block,
@@ -113,6 +123,7 @@ pub fn generate_blocks(
                         lon,
                     },
                 );
+                locations.push((lat, lon));
             }
             blocks.push(BlockInfo {
                 block,
@@ -126,7 +137,7 @@ pub fn generate_blocks(
             });
         }
     }
-    (blocks, geodb)
+    (blocks, geodb, locations)
 }
 
 /// Standard normal via Box–Muller (avoids a distribution-crate dependency).
@@ -147,7 +158,7 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(seed);
         let graph = AsGraph::generate(&cfg, &mut rng);
         let prefixes = allocate_prefixes(&graph, &cfg, &mut rng);
-        let (blocks, geodb) = generate_blocks(&graph, &prefixes, &cfg, &mut rng);
+        let (blocks, geodb, _) = generate_blocks(&graph, &prefixes, &cfg, &mut rng);
         (graph, prefixes, blocks, geodb, cfg)
     }
 

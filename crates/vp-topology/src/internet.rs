@@ -33,6 +33,9 @@ pub struct Internet {
     block_index: BlockIndex,
     /// Responsiveness column, keyed by dense block id.
     responsive: BitSet,
+    /// `(lat, lon)` per block, parallel to `blocks`: the geodb location,
+    /// or the homing PoP's for unlocatable blocks.
+    locations: Vec<(f64, f64)>,
     prefixes_per_as: Vec<u32>,
 }
 
@@ -42,7 +45,7 @@ impl Internet {
         let mut rng = Pcg64::seed_from_u64(config.seed);
         let graph = AsGraph::generate(&config, &mut rng);
         let prefixes = allocate_prefixes(&graph, &config, &mut rng);
-        let (blocks, geodb) = generate_blocks(&graph, &prefixes, &config, &mut rng);
+        let (blocks, geodb, locations) = generate_blocks(&graph, &prefixes, &config, &mut rng);
 
         let mut origin_table = ArenaLpm::new();
         let mut prefixes_per_as = vec![0u32; graph.len()];
@@ -73,6 +76,7 @@ impl Internet {
             origin_table,
             block_index,
             responsive,
+            locations,
             prefixes_per_as,
         }
     }
@@ -87,6 +91,13 @@ impl Internet {
     /// Index of a populated block in [`Internet::blocks`].
     pub fn block_idx(&self, block: Block24) -> Option<u32> {
         self.block_index.position_of(block)
+    }
+
+    /// Where the block at `block_idx` in [`Internet::blocks`] sits: its
+    /// geodb location, or its PoP's when the geodb has no entry for it.
+    /// A column read — the simulator's per-packet latency lookup.
+    pub fn block_location(&self, block_idx: u32) -> (f64, f64) {
+        self.locations[vp_net::conv::index(block_idx)] // vp-lint: allow(g1): block positions index blocks, and locations is parallel to it.
     }
 
     /// Dense id of a populated block: its rank in the sorted block
@@ -210,6 +221,26 @@ mod tests {
             assert_eq!(w.block_id(b.block), Some(id as u32));
         }
         assert_eq!(w.blocks_in_order().count(), w.blocks.len());
+    }
+
+    #[test]
+    fn location_column_matches_geodb_or_pop() {
+        // Every tenth block unlocatable, so both branches are exercised.
+        let w = Internet::generate(TopologyConfig {
+            unlocatable_fraction: 0.1,
+            ..TopologyConfig::tiny(11)
+        });
+        for (i, b) in w.blocks.iter().enumerate() {
+            let want = match w.geodb.locate(b.block) {
+                Some(loc) => (loc.lat, loc.lon),
+                None => {
+                    let pop = &w.graph.pops[b.pop.index()];
+                    (pop.lat, pop.lon)
+                }
+            };
+            assert_eq!(w.block_location(i as u32), want, "block {}", b.block);
+        }
+        assert!(w.geodb.len() < w.blocks.len(), "no unlocatable block drawn");
     }
 
     #[test]

@@ -246,9 +246,10 @@ impl<T> ArenaLpm<T> {
         (v != NONE).then(|| &self.values[v as usize])
     }
 
-    /// Iterates all stored `(prefix, value)` pairs in address order.
-    // vp-lint: allow(g1): arena indexing — child and value indices are minted by push and the arenas never shrink.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
+    /// Iterates all stored `(prefix, value)` pairs in address order. Only
+    /// the structure tests walk the whole trie; library code looks up.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
         // DFS stack: (node, addr-so-far, depth). Push 1 before 0 so the
         // 0-branch pops (and yields) first.
         let mut stack = vec![(0u32, 0u32, 0u8)];
@@ -266,7 +267,6 @@ impl<T> ArenaLpm<T> {
                     }
                 }
                 if n.value != NONE {
-                    // vp-lint: allow(h2): stored depths never exceed 32 by construction.
                     let p = Prefix::new(Ipv4Addr(addr), depth).expect("depth <= 32");
                     return Some((p, &self.values[n.value as usize]));
                 }
